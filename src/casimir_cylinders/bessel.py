@@ -171,20 +171,24 @@ def log_k_ladder(x, n_max):
     return out[:, 0] if scalar else out
 
 
+def _log_derivative(ladder, n_max):
+    """log (F_{n-1} + F_{n+1})/2 for n = 0..n_max from a log ladder of F_0..F_{n_max+1}.
+
+    F_{-1} = F_1 for integer order, so this is log I'_n from the I ladder
+    and log |K'_n| from the K ladder.
+    """
+    n = np.arange(n_max + 1)
+    return np.logaddexp(ladder[np.abs(n - 1)], ladder[n + 1]) - math.log(2.0)
+
+
 def log_di_ladder(x, n_max):
     """log I'_n(x) for n = 0..n_max (I' > 0 for x > 0)."""
-    li = log_i_ladder(x, n_max + 1)
-    idx_lo = np.abs(np.arange(n_max + 1) - 1)  # I_{-1} = I_1
-    idx_hi = np.arange(n_max + 1) + 1
-    return np.logaddexp(li[idx_lo], li[idx_hi]) - math.log(2.0)
+    return _log_derivative(log_i_ladder(x, n_max + 1), n_max)
 
 
 def log_dk_ladder(x, n_max):
     """log |K'_n(x)| for n = 0..n_max; the sign of K'_n is always -1."""
-    lk = log_k_ladder(x, n_max + 1)
-    idx_lo = np.abs(np.arange(n_max + 1) - 1)
-    idx_hi = np.arange(n_max + 1) + 1
-    return np.logaddexp(lk[idx_lo], lk[idx_hi]) - math.log(2.0)
+    return _log_derivative(log_k_ladder(x, n_max + 1), n_max)
 
 
 @dataclass(frozen=True)
@@ -251,8 +255,7 @@ def bessel_i_prime(n, x):
     n = _check_order(n)
     if x == 0.0:
         return 0.5 if n == 1 else 0.0
-    ladder = log_i_ladder(_check_scalar_argument(x), n + 1)
-    return _exp_checked(float(np.logaddexp(ladder[abs(n - 1)], ladder[n + 1])) - math.log(2.0), "I'_n(x)")
+    return _exp_checked(float(log_di_ladder(_check_scalar_argument(x), n)[n]), "I'_n(x)")
 
 
 def bessel_k_prime(n, x):
@@ -260,8 +263,7 @@ def bessel_k_prime(n, x):
     n = _check_order(n)
     if x <= 0.0:
         raise ValueError("K'_n requires x > 0")
-    ladder = log_k_ladder(_check_scalar_argument(x), n + 1)
-    return -_exp_checked(float(np.logaddexp(ladder[abs(n - 1)], ladder[n + 1])) - math.log(2.0), "K'_n(x)")
+    return -_exp_checked(float(log_dk_ladder(_check_scalar_argument(x), n)[n]), "K'_n(x)")
 
 
 # ---------------------------------------------------------------------------

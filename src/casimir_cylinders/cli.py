@@ -397,7 +397,11 @@ def _cmd_sweep(args):
     workers = args.workers
     env_cap = os.environ.get("CASIMIR_THREADS")
     if env_cap:
-        workers = min(workers, max(1, int(env_cap)))
+        try:
+            workers = min(workers, max(1, int(env_cap)))
+        except ValueError:
+            print(f"error: CASIMIR_THREADS must be an integer, got {env_cap!r}", file=sys.stderr)
+            return EXIT_USAGE
     kwargs = dict(
         rel_tol=float(settings["rel_tol"]),
         nodes=int(settings["nodes"]),

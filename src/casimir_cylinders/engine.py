@@ -4,10 +4,13 @@ Every evaluator computes the dimensionless energy
 
     e_hat = integral(0, inf) dbeta  beta [ln det(1 - A_TE) + ln det(1 - A_TM)]
 
-by transformed Gauss quadrature over the spectral-kernel log-determinants,
-with the matrix half-bandwidth and the node count grown adaptively until
-the result is stable to the requested tolerance.  Resource caps turn a
-runaway refinement into NoConvergenceError instead of a silent bad number.
+through one path for all geometries.  A per-geometry integrand returns
+the TM and TE log-determinant sums at a batch of frequencies; one
+quadrature step clips the frequencies at ``_beta_limit`` and applies the
+transformed Gauss (or adaptive-panel) rule; and ``_refine`` grows the
+matrix half-bandwidth and the node count until the result is stable to
+the requested tolerance.  Resource caps turn a runaway refinement into
+NoConvergenceError instead of a silent bad number.
 
 For concentric shells the matrices are diagonal and the determinant is a
 plain sum over azimuthal index n.  That sum converges painfully slowly as
@@ -55,6 +58,7 @@ __all__ = [
 
 _N_START = 16
 _LN2 = math.log(2.0)
+_POLARIZATIONS = (Polarization.TM, Polarization.TE)  # column order of every integrand
 
 
 class NoConvergenceError(RuntimeError):
@@ -94,70 +98,63 @@ def _beta_limit(g):
     return min(decay_limit, ladder_limit)
 
 
-def _grid(g, q, node_count):
-    """Mapped Gauss nodes, truncated where the integrand is gone."""
-    beta, w = semi_infinite_nodes(q.scale / (2.0 * gap(g)), node_count)
-    keep = beta <= _beta_limit(g)
-    return beta[keep], w[keep]
+def _eval_factory(g, q, integrand, offset=0.0):
+    """The ``eval_at(n_top, node_count) -> (e_tm, e_te, m_used)`` of ``_refine``.
+
+    ``integrand(betas, n_top)`` returns the TM and TE log-determinant sums
+    at each frequency, shape (len(betas), 2), and the largest inner-sum
+    cutoff it used.  Frequencies beyond ``_beta_limit`` contribute zero and
+    are never evaluated.  ``offset`` is added to the energy of each
+    polarization.
+    """
+    decay = 1.0 / (2.0 * gap(g))
+    limit = _beta_limit(g)
+
+    def eval_at(n_top, node_count):
+        m_seen = 0
+
+        def weighted(betas):
+            nonlocal m_seen
+            out = np.zeros((betas.size, 2))
+            keep = betas <= limit
+            if keep.any():
+                sums, m_used = integrand(betas[keep], n_top)
+                out[keep] = betas[keep, None] * sums
+                m_seen = max(m_seen, m_used)
+            return out
+
+        if q.rule is QuadratureRule.ADAPTIVE_PANEL:
+            spec = replace(q, node_count=node_count)
+            e_tm, e_te = integrate_semi_infinite(weighted, decay, spec)
+        else:
+            betas, w = semi_infinite_nodes(q.scale * decay, node_count)
+            e_tm, e_te = np.dot(w, weighted(betas))
+        return float(e_tm) + offset, float(e_te) + offset, m_seen
+
+    return eval_at
 
 
 # ---------------------------------------------------------------------------
 # Concentric shells: diagonal kernel, vectorized over the frequency grid.
 
-def _concentric_folds(alpha, betas, n_top, accelerated, include_n0=True):
-    """Folded log-determinant sums (TM, TE) at every beta, shape (2, nb).
+def _concentric_integrand(alpha, accelerated):
+    """Folded sums g_0 + 2 sum_{n=1..n_top} g_n with g_n = ln(1 - r_n).
 
-    fold = g_0 + 2 sum_{n=1..n_top} g_n with g_n = ln(1 - r_n); in the
-    accelerated variant every n >= 1 term of either polarization has
-    ln(1 - q_n) subtracted, q_n being the resummed uniform approximant.
+    In the accelerated variant every n >= 1 term of either polarization
+    has ln(1 - q_n) subtracted, q_n being the resummed uniform approximant.
     """
-    log_r_tm = kernel.concentric_log_ratios(betas, alpha, Polarization.TM, n_top)
-    log_r_te = kernel.concentric_log_ratios(betas, alpha, Polarization.TE, n_top)
-    terms_tm = _log1mexp(log_r_tm)
-    terms_te = _log1mexp(log_r_te)
-    if accelerated:
-        n = np.arange(1, n_top + 1)[:, None]
-        log_q = -2.0 * (alpha - 1.0) * np.sqrt(n * n + betas[None, :] ** 2)
-        sub = _log1mexp(log_q)
-        terms_tm = terms_tm.copy()
-        terms_te = terms_te.copy()
-        terms_tm[1:] -= sub
-        terms_te[1:] -= sub
-    head_tm = terms_tm[0] if include_n0 else 0.0
-    head_te = terms_te[0] if include_n0 else 0.0
-    fold_tm = head_tm + 2.0 * terms_tm[1:].sum(axis=0)
-    fold_te = head_te + 2.0 * terms_te[1:].sum(axis=0)
-    return fold_tm, fold_te
-
-
-def _concentric_eval(g, q, accelerated):
-    alpha = g.alpha
-    tilde_half = 0.5 * tilde_energy(alpha) if accelerated else 0.0
-    limit = _beta_limit(g)
 
     def integrand(betas, n_top):
-        out = np.zeros((betas.size, 2))
-        keep = betas <= limit
-        if keep.any():
-            fold_tm, fold_te = _concentric_folds(alpha, betas[keep], n_top, accelerated)
-            out[keep, 0] = betas[keep] * fold_tm
-            out[keep, 1] = betas[keep] * fold_te
-        return out
+        terms = np.stack([
+            _log1mexp(kernel.concentric_log_ratios(betas, alpha, pol, n_top))
+            for pol in _POLARIZATIONS
+        ])  # (2, n_top + 1, nb)
+        if accelerated:
+            n = np.arange(1, n_top + 1)[:, None]
+            terms[:, 1:] -= _log1mexp(-2.0 * (alpha - 1.0) * np.sqrt(n * n + betas[None, :] ** 2))
+        return (terms[:, 0] + 2.0 * terms[:, 1:].sum(axis=1)).T, 0
 
-    def eval_at(n_top, node_count):
-        if q.rule is QuadratureRule.ADAPTIVE_PANEL:
-            spec = replace(q, node_count=node_count)
-            e_tm, e_te = integrate_semi_infinite(
-                lambda b: integrand(b, n_top), 1.0 / (2.0 * gap(g)), spec
-            )
-        else:
-            betas, w = _grid(g, q, node_count)
-            fold_tm, fold_te = _concentric_folds(alpha, betas, n_top, accelerated)
-            e_tm = np.dot(w, betas * fold_tm)
-            e_te = np.dot(w, betas * fold_te)
-        return float(e_tm) + tilde_half, float(e_te) + tilde_half, 0
-
-    return eval_at
+    return integrand
 
 
 def tilde_energy(alpha):
@@ -196,46 +193,22 @@ def tilde_energy(alpha):
 # ---------------------------------------------------------------------------
 # Matrix geometries: eccentric shells and cylinder-plane.
 
-def _matrix_eval(g, t, q):
-    if isinstance(g, Eccentric):
-        builder = kernel.build_eccentric
-    else:
-        builder = kernel.build_cylinder_plane
-    limit = _beta_limit(g)
+def _matrix_integrand(g, t):
+    """ln det(1 - A) per polarization, one dense matrix per frequency."""
+    builder = kernel.build_eccentric if isinstance(g, Eccentric) else kernel.build_cylinder_plane
 
-    def eval_at(n_top, node_count):
+    def integrand(betas, n_top):
         sub_t = replace(t, n_max=n_top)
-        m_seen = [0]
-
-        def point(beta):
-            values = []
-            for pol in (Polarization.TM, Polarization.TE):
+        out = np.empty((betas.size, 2))
+        m_used = 0
+        for i, beta in enumerate(betas):
+            for j, pol in enumerate(_POLARIZATIONS):
                 mat = builder(beta, g, pol, sub_t)
-                m_seen[0] = max(m_seen[0], mat.m_used)
-                values.append(beta * kernel.log_det_one_minus(mat))
-            return values
+                m_used = max(m_used, mat.m_used)
+                out[i, j] = kernel.log_det_one_minus(mat)
+        return out, m_used
 
-        if q.rule is QuadratureRule.ADAPTIVE_PANEL:
-            def integrand(betas):
-                out = np.zeros((betas.size, 2))
-                for i, beta in enumerate(betas):
-                    if beta <= limit:
-                        out[i] = point(beta)
-                return out
-
-            spec = replace(q, node_count=node_count)
-            e_tm, e_te = integrate_semi_infinite(integrand, 1.0 / (2.0 * gap(g)), spec)
-        else:
-            betas, w = _grid(g, q, node_count)
-            e_tm = 0.0
-            e_te = 0.0
-            for beta, weight in zip(betas, w):
-                tm, te = point(beta)
-                e_tm += weight * tm
-                e_te += weight * te
-        return float(e_tm), float(e_te), m_seen[0]
-
-    return eval_at
+    return integrand
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +317,10 @@ def energy_exact(g, t=None, q=None):
     t = t or TruncationSpec()
     q = q or QuadratureSpec()
     if isinstance(g, Concentric):
-        eval_at = _concentric_eval(g, q, accelerated=False)
+        integrand = _concentric_integrand(g.alpha, accelerated=False)
     else:
-        eval_at = _matrix_eval(g, t, q)
-    conv = _refine(eval_at, t, q)
+        integrand = _matrix_integrand(g, t)
+    conv = _refine(_eval_factory(g, q, integrand), t, q)
     return _result(conv, t, q, accelerated=False)
 
 
@@ -369,7 +342,10 @@ def energy_concentric_accelerated(g, t=None, q=None):
     # beyond the hump keeps the small early deltas from faking
     # convergence against the tilde-dominated total.
     n_start = max(_N_START, math.ceil(1.5 / (g.alpha - 1.0)))
-    conv = _refine(_concentric_eval(g, q, accelerated=True), t, q, n_start=n_start)
+    eval_at = _eval_factory(
+        g, q, _concentric_integrand(g.alpha, accelerated=True), offset=0.5 * tilde_energy(g.alpha)
+    )
+    conv = _refine(eval_at, t, q, n_start=n_start)
     return _result(conv, t, q, accelerated=True)
 
 

@@ -16,7 +16,7 @@ Shape parameters:
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 __all__ = [
@@ -87,8 +87,14 @@ def validate(g):
     Accepted region: {alpha > 1, 0 <= delta < alpha - 1} for shells,
     {h_over_a > 1} for the cylinder-plane configuration.  The touching
     limit delta = alpha - 1 is rejected because the spectral formula
-    diverges there.
+    diverges there.  Every field must be finite.
     """
+    if not isinstance(g, (Concentric, Eccentric, CylinderPlane)):
+        raise TypeError(f"not a geometry: {g!r}")
+    for f in fields(g):
+        value = getattr(g, f.name)
+        if not math.isfinite(value):
+            raise GeometryError("non-finite", f"{f.name} = {value} must be finite")
     if isinstance(g, Concentric):
         if not g.alpha > 1.0:
             raise GeometryError("degenerate", f"alpha = {g.alpha} must exceed 1")
@@ -101,11 +107,8 @@ def validate(g):
             raise GeometryError(
                 "overlap", f"delta = {g.delta} must stay below alpha - 1 = {g.alpha - 1.0}"
             )
-    elif isinstance(g, CylinderPlane):
-        if not g.h_over_a > 1.0:
-            raise GeometryError("intersecting-plane", f"H/a = {g.h_over_a} must exceed 1")
-    else:
-        raise TypeError(f"not a geometry: {g!r}")
+    elif not g.h_over_a > 1.0:
+        raise GeometryError("intersecting-plane", f"H/a = {g.h_over_a} must exceed 1")
     return g
 
 

@@ -105,28 +105,16 @@ def _log_diag_factors(beta, pol, n_max):
 
 def _log_sum_factors(x, pol, m_max):
     """log |K_m/I_m| (TM) or log |K'_m/I'_m| (TE) at argument x, m = 0..m_max."""
-    if pol is Polarization.TM:
-        return log_k_ladder(x, m_max) - log_i_ladder(x, m_max)
-    return log_dk_ladder(x, m_max) - log_di_ladder(x, m_max)
+    return -_log_diag_factors(x, pol, m_max)
 
 
 def concentric_log_ratios(beta, alpha, pol, n_max):
-    """log r_n for n = 0..n_max at a single beta (or an array of betas)."""
+    """log r_n for n = 0..n_max at a single beta (or an array of betas).
+
+    r_n = d_n(beta) / d_n(alpha beta), d_n the diagonal factor above.
+    """
     betas = np.asarray(beta, dtype=float)
-    ab = alpha * betas
-    if pol is Polarization.TM:
-        return (
-            log_i_ladder(betas, n_max)
-            + log_k_ladder(ab, n_max)
-            - log_i_ladder(ab, n_max)
-            - log_k_ladder(betas, n_max)
-        )
-    return (
-        log_di_ladder(betas, n_max)
-        + log_dk_ladder(ab, n_max)
-        - log_di_ladder(ab, n_max)
-        - log_dk_ladder(betas, n_max)
-    )
+    return _log_diag_factors(betas, pol, n_max) - _log_diag_factors(alpha * betas, pol, n_max)
 
 
 def build_concentric(beta, g, pol, n_max=32):

@@ -26,6 +26,12 @@ def test_invalid_geometry_exits_1_named(capsys):
     assert "overlap" in err
 
 
+def test_non_finite_geometry_exits_1_named(capsys):
+    code, _, err = run(capsys, "concentric", "--alpha", "inf")
+    assert code == 1
+    assert "non-finite" in err
+
+
 def test_unknown_flag_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "concentric", "--alpha", "2", "--no-such-flag")
@@ -131,6 +137,14 @@ def test_sweep_env_caps_workers(tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, "sweep", "--family", "concentric", "--alpha", "1.3",
                      "--evaluators", "pfa", "--output", str(p), "--workers", "8")
     assert code == 0 and p.exists()
+
+
+def test_sweep_env_cap_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("CASIMIR_THREADS", "abc")
+    code, out, err = run(capsys, "sweep", "--family", "concentric", "--alpha", "1.3",
+                         "--evaluators", "pfa", "--workers", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "CASIMIR_THREADS" in err
 
 
 def test_sweep_json_format(capsys):

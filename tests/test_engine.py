@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from casimir_cylinders import kernel
 from casimir_cylinders.baselines import PfaOrder, pfa_bracket, pfa_concentric
 from casimir_cylinders.engine import (
     NoConvergenceError,
-    _concentric_folds,
+    _beta_limit,
     energy_concentric_accelerated,
     energy_difference,
     energy_exact,
@@ -17,10 +18,12 @@ from casimir_cylinders.geometry import (
     Concentric,
     CylinderPlane,
     Eccentric,
+    Polarization,
     QuadratureRule,
     QuadratureSpec,
     TruncationSpec,
 )
+from casimir_cylinders.quadrature import semi_infinite_nodes
 import oracles
 
 PI4_OVER_90 = math.pi ** 4 / 90.0
@@ -99,12 +102,14 @@ def test_rel_tol_is_honored():
 
 
 def test_adaptive_panel_rule_agrees():
-    gauss = energy_exact(Concentric(1.5))
-    panel = energy_exact(
-        Concentric(1.5),
-        q=QuadratureSpec(node_count=32, rule=QuadratureRule.ADAPTIVE_PANEL),
-    )
-    assert panel.e_hat == pytest.approx(gauss.e_hat, rel=1e-4)
+    # one diagonal and one dense-matrix geometry
+    for g in (Concentric(1.5), CylinderPlane(3.0)):
+        gauss = energy_exact(g)
+        panel = energy_exact(
+            g,
+            q=QuadratureSpec(node_count=32, rule=QuadratureRule.ADAPTIVE_PANEL),
+        )
+        assert panel.e_hat == pytest.approx(gauss.e_hat, rel=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -164,16 +169,13 @@ def test_accelerated_rejects_other_geometries():
 
 
 def test_n0_term_is_kept_exactly():
-    # dropping the n = 0 term changes the folded integrand by a finite
-    # amount: it carries the only channel with no uniform approximant
-    from casimir_cylinders.engine import _grid
-
+    # the n = 0 term, ln(1 - r_0), is finite on the frequency grid: it
+    # carries the only channel with no uniform approximant
     alpha = 1.2
-    betas, _ = _grid(Concentric(alpha), QuadratureSpec(node_count=32), 32)
-    with_n0 = _concentric_folds(alpha, betas, 24, accelerated=True, include_n0=True)
-    without = _concentric_folds(alpha, betas, 24, accelerated=True, include_n0=False)
-    gap_tm = np.abs(with_n0[0] - without[0])
-    assert gap_tm.max() > 1e-3
+    betas, _ = semi_infinite_nodes(1.0 / (2.0 * (alpha - 1.0)), 32)
+    betas = betas[betas <= _beta_limit(Concentric(alpha))]
+    log_r = kernel.concentric_log_ratios(betas, alpha, Polarization.TM, 24)
+    assert np.abs(np.log1p(-np.exp(log_r[0]))).max() > 1e-3
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,12 @@ def test_validate_accepts_good_geometries():
         (Eccentric(alpha=2.0, delta=-0.1), "negative-eccentricity"),
         (CylinderPlane(h_over_a=1.0), "intersecting-plane"),
         (CylinderPlane(h_over_a=0.2), "intersecting-plane"),
+        (Concentric(alpha=math.inf), "non-finite"),
+        (Concentric(alpha=math.nan), "non-finite"),
+        (Eccentric(alpha=math.inf, delta=0.5), "non-finite"),
+        (Eccentric(alpha=2.0, delta=math.nan), "non-finite"),
+        (CylinderPlane(h_over_a=math.inf), "non-finite"),
+        (CylinderPlane(h_over_a=math.nan), "non-finite"),
     ],
 )
 def test_validate_names_the_violated_constraint(g, reason):
