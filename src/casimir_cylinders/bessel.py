@@ -69,6 +69,7 @@ LADDER_MAX_ARGUMENT = 2000.0
 _LOG_BIG = 575.6462732485114  # log(1e250), renormalization threshold
 _BIG = 1e250
 _TINY = 1e-250
+_SMALL_ARGUMENT = 1e-8  # log_i_ladder switches to the series below this
 
 
 def _validate_argument(x, cap=LADDER_MAX_ARGUMENT):
@@ -112,8 +113,11 @@ def log_i_ladder(x, n_max):
     """log I_n(x) for n = 0..n_max, shape (n_max+1,) + x.shape.
 
     Miller downward recurrence seeded by the continued-fraction ratio at
-    the top order; x may be an array.  x == 0 entries yield the exact
-    limits log I_0(0) = 0 and log I_n(0) = -inf for n > 0.
+    the top order; x may be an array.  Below ``_SMALL_ARGUMENT`` the exact
+    small-argument form n log(x/2) - log n! + log(1 + x^2/(4(n+1))) is
+    used instead, whose neglected terms are O(x^4); the recurrence would
+    overflow there before it could renormalize.  x == 0 entries yield the
+    exact limits log I_0(0) = 0 and log I_n(0) = -inf for n > 0.
     """
     x = _validate_argument(x)
     scalar = x.ndim == 0
@@ -123,8 +127,13 @@ def log_i_ladder(x, n_max):
         raise ValueError("n_max must be nonnegative")
 
     out = np.full((n_max + 1, x.size), -np.inf)
-    pos = x > 0.0
-    out[0, ~pos] = 0.0
+    out[0, x == 0.0] = 0.0
+    small = (x > 0.0) & (x < _SMALL_ARGUMENT)
+    if np.any(small):
+        n = np.arange(n_max + 1)[:, None]
+        xs = x[small]
+        out[:, small] = n * np.log(0.5 * xs) - special.gammaln(n + 1) + np.log1p(0.25 * xs * xs / (n + 1))
+    pos = x >= _SMALL_ARGUMENT
     if np.any(pos):
         xp = x[pos]
         log_i0 = np.log(special.ive(0, xp)) + xp

@@ -12,7 +12,8 @@ Examples:
         --evaluators exact,accelerated,nntl --output sweep.csv
     casimir-cyl selftest
 
-Exit codes: 0 success, 1 usage or invalid geometry, 2 non-convergence.
+Exit codes: 0 success, 1 usage or invalid geometry, 2 non-convergence or
+another numerical failure.
 Flags override config-file values (--config, JSON with the same names),
 which override the defaults (rel_tol 1e-4, 128 transformed-Gauss nodes).
 Energies are reported in units of hbar c L / (4 pi a^2); SI values appear
@@ -212,6 +213,9 @@ def _cmd_energy(command, args):
     except (kernel.NonContractiveError, kernel.TruncationError) as exc:
         print(f"non-contractive: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    except (RuntimeError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
 
     record = {"geometry": geometry_to_dict(geometry), "evaluator": args.evaluator, **record}
     total = record["e_tm"] + record["e_te"]
@@ -365,6 +369,8 @@ def _sweep_row(task, rel_tol, nodes, scale, rule, timing):
         row["status"] = "truncation-insufficient"
     except ValueError as exc:
         row["status"] = f"error:{exc}"
+    except (RuntimeError, ArithmeticError) as exc:
+        row["status"] = f"error:{type(exc).__name__}"
     else:
         row.update(
             e_hat=record["e_hat"],

@@ -5,11 +5,13 @@ Every evaluator computes the dimensionless energy
     e_hat = integral(0, inf) dbeta  beta [ln det(1 - A_TE) + ln det(1 - A_TM)]
 
 through one path for all geometries.  A per-geometry integrand returns
-the TM and TE log-determinant sums at a batch of frequencies; one
-quadrature step clips the frequencies at ``_beta_limit`` and applies the
-transformed Gauss (or adaptive-panel) rule; and ``_refine`` grows the
-matrix half-bandwidth and the node count until the result is stable to
-the requested tolerance.  Resource caps turn a runaway refinement into
+the TM and TE log-determinant sums at a batch of frequencies (for the
+dense eccentric and cylinder-plane matrices ``kernel.matrix_log_dets``
+assembles and factors the whole batch); one quadrature step clips the
+frequencies at ``_beta_limit`` and applies the transformed Gauss (or
+adaptive-panel) rule; and ``_refine`` grows the matrix half-bandwidth
+and the node count until the result is stable to the requested
+tolerance.  Resource caps turn a runaway refinement into
 NoConvergenceError instead of a silent bad number.
 
 For concentric shells the matrices are diagonal and the determinant is a
@@ -38,7 +40,6 @@ from .geometry import (
     CylinderPlane,
     Eccentric,
     EnergyResult,
-    Polarization,
     QuadratureRule,
     QuadratureSpec,
     TruncationSpec,
@@ -58,7 +59,6 @@ __all__ = [
 
 _N_START = 16
 _LN2 = math.log(2.0)
-_POLARIZATIONS = (Polarization.TM, Polarization.TE)  # column order of every integrand
 
 
 class NoConvergenceError(RuntimeError):
@@ -147,7 +147,7 @@ def _concentric_integrand(alpha, accelerated):
     def integrand(betas, n_top):
         terms = np.stack([
             _log1mexp(kernel.concentric_log_ratios(betas, alpha, pol, n_top))
-            for pol in _POLARIZATIONS
+            for pol in kernel._POLARIZATIONS
         ])  # (2, n_top + 1, nb)
         if accelerated:
             n = np.arange(1, n_top + 1)[:, None]
@@ -194,19 +194,10 @@ def tilde_energy(alpha):
 # Matrix geometries: eccentric shells and cylinder-plane.
 
 def _matrix_integrand(g, t):
-    """ln det(1 - A) per polarization, one dense matrix per frequency."""
-    builder = kernel.build_eccentric if isinstance(g, Eccentric) else kernel.build_cylinder_plane
+    """ln det(1 - A) per polarization from the frequency-batched assembler."""
 
     def integrand(betas, n_top):
-        sub_t = replace(t, n_max=n_top)
-        out = np.empty((betas.size, 2))
-        m_used = 0
-        for i, beta in enumerate(betas):
-            for j, pol in enumerate(_POLARIZATIONS):
-                mat = builder(beta, g, pol, sub_t)
-                m_used = max(m_used, mat.m_used)
-                out[i, j] = kernel.log_det_one_minus(mat)
-        return out, m_used
+        return kernel.matrix_log_dets(betas, g, replace(t, n_max=n_top))
 
     return integrand
 
@@ -270,6 +261,10 @@ def _refine(eval_at, t, q, n_start=_N_START):
         e_tm, e_te = e_tm2, e_te2
         if quad_delta <= rel_tol:
             break
+    if e_tm + e_te == 0.0:
+        raise NoConvergenceError(
+            f"energy underflowed to 0.0 at n_max = {n} with {nodes} nodes"
+        )
 
     return _Converged(
         e_tm=e_tm,

@@ -26,8 +26,16 @@ theorem for modified Bessel functions, to a single K:
     A_np = sqrt(d_n d_p) * K_{n+p}(2 beta H/a).
 
 All entries are assembled from log-magnitude ladders and exponentiated
-last; the inner m-sum is evaluated as a column-scaled Gram product so the
-whole matrix comes out of one BLAS call per (beta, polarization).
+last.  ``matrix_log_dets`` works on chunks of frequencies: one I and one
+K ladder per argument (beta, alpha beta, delta beta or 2 beta H/a) serve
+the whole chunk and both polarizations, TE taking its derivative ladders
+from the same values.  Since A_{-n,-p} = A_np only the columns n >= 0 are
+formed, as two column-scaled half-width Gram products of the inner m-sum,
+G = U^T U and G' = U^T R U (R reflects m).  G + G' and G - G' are the
+even and odd parity blocks of the matrix, and ln det(1 - A) is the sum of
+their log-determinants from one batched Cholesky each; a failed Cholesky
+is a NonContractiveError.  The single-frequency builders unfold the same
+factors into the full (2N+1)^2 matrix.
 """
 
 import math
@@ -36,7 +44,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .bessel import log_di_ladder, log_dk_ladder, log_i_ladder, log_k_ladder
+from .bessel import (
+    _log_derivative,
+    log_di_ladder,
+    log_dk_ladder,
+    log_i_ladder,
+    log_k_ladder,
+)
 from .geometry import (
     Concentric,
     CylinderPlane,
@@ -53,9 +67,15 @@ __all__ = [
     "build_concentric",
     "build_eccentric",
     "build_cylinder_plane",
+    "matrix_log_dets",
     "addition_theorem_check",
     "log_det_one_minus",
 ]
+
+_POLARIZATIONS = (Polarization.TM, Polarization.TE)  # column order of every (TM, TE) pair
+_CHUNK = 32  # frequencies assembled together by matrix_log_dets
+_GRAM_ELEMENTS = 1 << 15  # elements per batched Gram array; bounds the memory of one group
+_SQRT_HALF = math.sqrt(0.5)
 
 
 class NonContractiveError(RuntimeError):
@@ -134,12 +154,206 @@ def build_concentric(beta, g, pol, n_max=32):
     return np.exp(folded)
 
 
+def _log_diag_pair(x, n_max):
+    """(TM, TE) log d_n at argument(s) x, n = 0..n_max, from one I and one K ladder.
+
+    Shape (2, n_max + 1) + x.shape; TE takes I'_n, K'_n from the same
+    ladders through ``_log_derivative``.
+    """
+    log_i = log_i_ladder(x, n_max + 1)
+    log_k = log_k_ladder(x, n_max + 1)
+    return np.stack([
+        log_i[: n_max + 1] - log_k[: n_max + 1],
+        _log_derivative(log_i, n_max) - _log_derivative(log_k, n_max),
+    ])
+
+
+def _inner_grams(half_c, log_bridge, m_cut, n):
+    """Column-scaled half-width Grams of the inner m-sum for a batch of items.
+
+    Item k has the exponent rows 0.5 log c_|m| + log I_|m-q|(beta delta)
+    for |m| <= m_cut[k] and columns q = 0..n (half_c: (K, M+1),
+    log_bridge: (K, M+n+1), M = max(m_cut)).  Returns the log column
+    scales (K, n+1), G = U^T U and G' = U^T R U (K, n+1, n+1), R
+    reflecting m, and each item's largest share of an entry of the full
+    (2n+1)^2 matrix carried by its two edge rows m = +-m_cut.
+    """
+    top = int(m_cut.max())
+    m = np.arange(-top, top + 1)
+    expo = log_bridge[:, np.abs(m[:, None] - np.arange(n + 1))]
+    expo += half_c[:, np.abs(m), None]
+    expo[np.abs(m) > m_cut[:, None]] = -np.inf
+    col_max = expo.max(axis=1)
+    col_max[~np.isfinite(col_max)] = 0.0
+    expo -= col_max[:, None, :]
+    u = np.exp(expo, out=expo)
+    # A summand 1e150 below its column's peak adds nothing to an entry,
+    # while its subnormal products would slow the Gram products many-fold.
+    u[u < 1e-150] = 0.0
+    u_t = u.transpose(0, 2, 1)
+    gram = u_t @ u
+    gram_r = u_t @ np.ascontiguousarray(u[:, ::-1])
+    k = np.arange(m_cut.size)
+    lo, hi = u[k, top - m_cut], u[k, top + m_cut]
+    edge = lo[:, :, None] * lo[:, None, :] + hi[:, :, None] * hi[:, None, :]
+    edge_r = lo[:, :, None] * hi[:, None, :] + hi[:, :, None] * lo[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail = np.maximum(
+            np.where(gram > 0.0, edge / gram, 0.0).max(axis=(1, 2)),
+            np.where(gram_r > 0.0, edge_r / gram_r, 0.0).max(axis=(1, 2)),
+        )
+    return col_max, gram, gram_r, tail
+
+
+def _eccentric_grams(betas, g, t, pols):
+    """Eccentric-shell factors for ``_matrix_grams``.
+
+    Each (beta, pol) item starts its inner sum at m = n + ceil(4 beta
+    delta) (the I_{m-n}(beta delta) factors peak near |m - n| ~ beta
+    delta) and doubles it until the edge rows carry at most t.rel_tol of
+    every entry, capped at t.m_max.  Each doubling round takes one I and
+    one K ladder at alpha beta and one I ladder at delta beta for all the
+    frequencies still pending.
+    """
+    n, npol = t.n_max, len(pols)
+    x_sum, x_bridge = g.alpha * betas, g.delta * betas
+    half_d = 0.5 * _log_diag_pair(betas, n)[list(pols)]  # (npol, n+1, nb)
+    m_cut = np.repeat(np.minimum(n + np.ceil(4.0 * x_bridge).astype(int), t.m_max), npol)
+    pending = np.arange(m_cut.size)
+    while pending.size:
+        rows = np.unique(pending // npol)
+        top = int(m_cut[pending].max())
+        half_c = -0.5 * _log_diag_pair(x_sum[rows], top)[list(pols)]  # (npol, top+1, nr)
+        log_bridge = log_i_ladder(x_bridge[rows], top + n)
+        group = max(1, _GRAM_ELEMENTS // ((2 * top + 1) * (n + 1)))
+        retry = []
+        for s in range(0, pending.size, group):
+            items = pending[s : s + group]
+            beta_i, pol_i = items // npol, items % npol
+            r = np.searchsorted(rows, beta_i)
+            col_max, gram, gram_r, tail = _inner_grams(
+                half_c[pol_i, :, r], log_bridge[:, r].T, m_cut[items], n
+            )
+            done = (tail <= t.rel_tol) | (x_bridge[beta_i] == 0.0)
+            stuck = ~done & (m_cut[items] >= t.m_max)
+            if stuck.any():
+                raise TruncationError(
+                    f"inner sum still contributes {tail[stuck].max():.2e} of an entry at m_max = {t.m_max}"
+                )
+            if done.any():
+                log_w = half_d[pol_i[done], :, beta_i[done]] + col_max[done]
+                yield items[done], log_w, gram[done], gram_r[done], m_cut[items[done]]
+            retry.append(items[~done])
+        pending = np.concatenate(retry)
+        m_cut[pending] = np.minimum(2 * m_cut[pending], t.m_max)
+
+
+def _plane_grams(betas, g, t, pols):
+    """Cylinder-plane factors for ``_matrix_grams``.
+
+    The inner sum is K_{|q+s|}(2 beta H/a), so G_qs = K_{q+s} and
+    G'_qs = K_{|q-s|}, scaled by sqrt(K_2q K_2s) (log-convexity of K in
+    its order keeps every scaled entry <= 1).  The inner-sum cutoff is 0.
+    """
+    n, npol = t.n_max, len(pols)
+    log_k2h = log_k_ladder(2.0 * g.h_over_a * betas, 2 * n).T  # (nb, 2n+1)
+    half_d = 0.5 * _log_diag_pair(betas, n)[list(pols)]
+    q = np.arange(n + 1)
+    plus, minus = q[:, None] + q[None, :], np.abs(q[:, None] - q[None, :])
+    group = max(1, _GRAM_ELEMENTS // (n + 1) ** 2)
+    for s in range(0, betas.size * npol, group):
+        items = np.arange(s, min(s + group, betas.size * npol))
+        beta_i, pol_i = items // npol, items % npol
+        log_k = log_k2h[beta_i]
+        half = 0.5 * log_k[:, 2 * q]
+        scale = half[:, :, None] + half[:, None, :]
+        gram, gram_r = log_k[:, plus], log_k[:, minus]
+        for a in (gram, gram_r):
+            a -= scale
+            np.exp(a, out=a)
+        yield items, half_d[pol_i, :, beta_i] + half, gram, gram_r, np.zeros(items.size, dtype=int)
+
+
+def _matrix_grams(betas, g, t, pols=(0, 1)):
+    """Half-width factors of the round-trip matrices, yielded group by group.
+
+    Item k is (betas[k // npol], _POLARIZATIONS[pols[k % npol]]).  With
+    A_{-q,-s} = A_qs only the columns q = 0..t.n_max are formed:
+    A_qs = w_q w_s G_qs and A_{q,-s} = w_q w_s G'_qs.  Each group is
+    (items, log w (K, n+1), G and G' (K, n+1, n+1), inner-sum cutoffs (K,)).
+    """
+    grams = _eccentric_grams if isinstance(g, Eccentric) else _plane_grams
+    return grams(betas, g, t, pols)
+
+
+def _log_det_one_minus(a):
+    """ln det(1 - A) for symmetric A (..., k, k) from one batched Cholesky."""
+    try:
+        chol = np.linalg.cholesky(np.eye(a.shape[-1]) - a)
+    except np.linalg.LinAlgError:
+        chol = None
+    if chol is None or not np.all(np.isfinite(chol)):
+        raise NonContractiveError(
+            "round-trip operator is not a contraction (spectral radius >= 1)"
+        )
+    return 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+
+
+def _parity_log_dets(log_w, gram, gram_r):
+    """ln det(1 - A) <= 0 as the sum over the even and odd parity blocks.
+
+    In the basis e_0, (e_q +- e_{-q})/sqrt 2 the matrix splits into the
+    even block w w^T (G + G') (row and column 0 scaled by 1/sqrt 2) and
+    the odd block w w^T (G - G') on q, s >= 1.
+    """
+    scale = log_w[:, :, None] + log_w[:, None, :]
+    even = gram + gram_r
+    odd = gram[:, 1:, 1:] - gram_r[:, 1:, 1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.exp(scale, out=scale)
+        even *= scale
+        odd *= scale[:, 1:, 1:]
+    even[:, 0, :] *= _SQRT_HALF
+    even[:, :, 0] *= _SQRT_HALF
+    # det(1 - A) lies in (0, 1]; tiny positive values are roundoff.
+    return np.minimum(_log_det_one_minus(even) + _log_det_one_minus(odd), 0.0)
+
+
+def matrix_log_dets(betas, g, t):
+    """ln det(1 - A) for TM and TE at every frequency, shape (len(betas), 2).
+
+    Eccentric shells or cylinder-plane at half-bandwidth t.n_max, taken in
+    chunks of ``_CHUNK`` frequencies.  Also returns the largest inner-sum
+    cutoff used (0 for cylinder-plane).
+    """
+    betas = np.asarray(betas, dtype=float)
+    out = np.empty(2 * betas.size)  # (beta, pol) item order
+    m_used = 0
+    for s in range(0, betas.size, _CHUNK):
+        for items, log_w, gram, gram_r, m_cut in _matrix_grams(betas[s : s + _CHUNK], g, t):
+            out[2 * s + items] = _parity_log_dets(log_w, gram, gram_r)
+            m_used = max(m_used, int(m_cut.max()))
+    return out.reshape(-1, 2), m_used
+
+
+def _spectral_matrix(beta, g, pol, t):
+    """One frequency of the batched assembler, unfolded to the (2N+1)^2 matrix."""
+    pols = (_POLARIZATIONS.index(pol),)
+    _, log_w, gram, gram_r, m_cut = next(_matrix_grams(np.array([beta]), g, t, pols))
+    orders = np.arange(-t.n_max, t.n_max + 1)
+    q = np.abs(orders)
+    same_sign = orders[:, None] * orders[None, :] >= 0
+    full = np.where(same_sign, gram[0][np.ix_(q, q)], gram_r[0][np.ix_(q, q)])
+    w = log_w[0][q]
+    entries = np.exp(w[:, None] + w[None, :]) * full
+    return SpectralMatrix(beta=beta, pol=pol, entries=entries, m_used=int(m_cut[0]))
+
+
 def build_eccentric(beta, g, pol, t=None):
     """Spectral matrix for eccentric shells at one frequency.
 
     The half-bandwidth is t.n_max; the inner sum starts from the floor
-    m = n_max + ceil(4 beta delta) (the I_{m-n}(beta delta) factors peak
-    near |m - n| ~ beta delta) and doubles until the |m| = m_cut terms
+    m = n_max + ceil(4 beta delta) and doubles until the |m| = m_cut terms
     contribute less than t.rel_tol of every entry, capped at t.m_max.
     """
     if not isinstance(g, Eccentric):
@@ -147,42 +361,7 @@ def build_eccentric(beta, g, pol, t=None):
     validate(g)
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    t = t or TruncationSpec(n_max=16)
-    n = t.n_max
-    beta = float(beta)
-    x_sum = g.alpha * beta
-    x_bridge = g.delta * beta
-
-    log_d = _log_diag_factors(beta, pol, n)
-    orders = np.arange(-n, n + 1)
-    m_cut = n + math.ceil(4.0 * x_bridge)
-    while True:
-        m_cut = min(m_cut, t.m_max)
-        log_c = _log_sum_factors(x_sum, pol, m_cut)
-        log_bridge = log_i_ladder(x_bridge, m_cut + n)
-        m_vals = np.arange(-m_cut, m_cut + 1)
-        # exponent of the half-weighted summand, shape (2M+1, 2N+1)
-        expo = 0.5 * log_c[np.abs(m_vals)][:, None] + log_bridge[np.abs(m_vals[:, None] - orders[None, :])]
-        col_max = expo.max(axis=0)
-        col_max = np.where(np.isfinite(col_max), col_max, 0.0)
-        u = np.exp(expo - col_max[None, :])
-        gram = u.T @ u
-        edge = np.outer(u[0], u[0]) + np.outer(u[-1], u[-1])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tail = np.where(gram > 0.0, edge / gram, 0.0)
-        if tail.max() <= t.rel_tol or x_bridge == 0.0:
-            break
-        if m_cut >= t.m_max:
-            raise TruncationError(
-                f"inner sum still contributes {tail.max():.2e} of an entry at m_max = {m_cut}"
-            )
-        m_cut = 2 * m_cut
-
-    half_d = 0.5 * log_d[np.abs(orders)]
-    with np.errstate(divide="ignore"):
-        log_entries = half_d[:, None] + half_d[None, :] + col_max[:, None] + col_max[None, :] + np.log(gram)
-    entries = np.exp(log_entries)
-    return SpectralMatrix(beta=beta, pol=pol, entries=entries, m_used=m_cut)
+    return _spectral_matrix(float(beta), g, pol, t or TruncationSpec(n_max=16))
 
 
 def build_cylinder_plane(beta, g, pol, t=None):
@@ -196,15 +375,7 @@ def build_cylinder_plane(beta, g, pol, t=None):
     validate(g)
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    t = t or TruncationSpec(n_max=16)
-    n = t.n_max
-    beta = float(beta)
-    log_d = _log_diag_factors(beta, pol, n)
-    log_k2h = log_k_ladder(2.0 * beta * g.h_over_a, 2 * n)
-    orders = np.arange(-n, n + 1)
-    half_d = 0.5 * log_d[np.abs(orders)]
-    log_entries = half_d[:, None] + half_d[None, :] + log_k2h[np.abs(orders[:, None] + orders[None, :])]
-    return SpectralMatrix(beta=beta, pol=pol, entries=np.exp(log_entries))
+    return _spectral_matrix(float(beta), g, pol, t or TruncationSpec(n_max=16))
 
 
 def addition_theorem_check(x, h, n, p, pol, m_max=None):
@@ -243,17 +414,12 @@ def addition_theorem_check(x, h, n, p, pol, m_max=None):
 
 
 def log_det_one_minus(mat):
-    """ln det(1 - A) <= 0 via dense LU with partial pivoting.
+    """ln det(1 - A) <= 0 for a symmetric kernel matrix, via Cholesky.
 
-    Raises NonContractiveError when the determinant is not positive,
-    which for these positive symmetric kernels happens exactly when the
-    leading eigenvalue reaches 1 (touching geometry or broken truncation).
+    Raises NonContractiveError when 1 - A is not positive definite, which
+    for these positive symmetric kernels happens exactly when the leading
+    eigenvalue reaches 1 (touching geometry or broken truncation).
     """
     a = mat.entries if isinstance(mat, SpectralMatrix) else np.asarray(mat, dtype=float)
-    sign, value = np.linalg.slogdet(np.eye(a.shape[0]) - a)
-    if not np.isfinite(value) or sign <= 0.0:
-        raise NonContractiveError(
-            "round-trip operator is not a contraction (spectral radius >= 1)"
-        )
     # det(1 - A) lies in (0, 1]; tiny positive values are roundoff.
-    return min(float(value), 0.0)
+    return min(float(_log_det_one_minus(a)), 0.0)

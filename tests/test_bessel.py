@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,22 @@ def test_log_i_against_series_oracle(n, x):
     assert bessel.log_bessel_i(n, x) == pytest.approx(
         oracles.log_bessel_i_reference(n, x), abs=1e-10
     )
+
+
+def test_log_i_ladder_tiny_argument_closed_form():
+    # far below the recurrence's overflow point: I_n(x) = (x/2)^n / n! to
+    # double precision, with no intermediate overflow or warning
+    x, n_max = 1e-200, 40
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ladder = bessel.log_i_ladder(np.array([x, 1e-9, 0.0]), n_max)
+    n = np.arange(n_max + 1)
+    expected = n * math.log(x / 2.0) - np.array([math.lgamma(k + 1.0) for k in n])
+    assert np.allclose(ladder[:, 0], expected, rtol=1e-14, atol=0.0)
+    assert ladder[0, 2] == 0.0 and np.all(ladder[1:, 2] == -np.inf)
+    # the series branch joins the recurrence smoothly
+    recurrence = float(bessel.log_i_ladder(2e-8, 5)[5])
+    assert ladder[5, 1] == pytest.approx(recurrence - 5.0 * math.log(20.0), abs=1e-12)
 
 
 @pytest.mark.parametrize(

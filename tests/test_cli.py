@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from casimir_cylinders import engine
 from casimir_cylinders.cli import CSV_COLUMNS, main
 
 
@@ -52,6 +53,42 @@ def test_non_convergence_exits_2(capsys):
     code, _, err = run(capsys, "concentric", "--alpha", "1.01", "--evaluator", "exact")
     assert code == 2
     assert "no-convergence" in err
+
+
+def test_underflowing_energy_exits_2_named(capsys):
+    code, out, err = run(capsys, "concentric", "--alpha", "1e300")
+    assert code == 2 and out == ""
+    assert err.startswith("no-convergence:") and "underflow" in err
+    assert "Traceback" not in err
+
+
+def _failing_solver(exc):
+    def energy_exact(*_args, **_kwargs):
+        raise exc
+
+    return energy_exact
+
+
+def test_unmapped_solver_error_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(
+        engine, "energy_exact",
+        _failing_solver(RuntimeError("continued fraction for I_n/I_{n+1} did not converge")),
+    )
+    code, out, err = run(capsys, "cylplane", "--h-over-a", "2")
+    assert code == 2 and out == ""
+    assert err == "error: continued fraction for I_n/I_{n+1} did not converge\n"
+    monkeypatch.setattr(engine, "energy_exact", _failing_solver(OverflowError("too big")))
+    code, _, err = run(capsys, "eccentric", "--alpha", "2", "--delta", "0.5")
+    assert code == 2 and err == "error: too big\n"
+
+
+def test_sweep_unmapped_solver_error_gives_status_row(capsys, monkeypatch):
+    monkeypatch.setattr(engine, "energy_exact", _failing_solver(OverflowError("too big")))
+    code, out, _ = run(capsys, "sweep", "--family", "concentric", "--alpha", "1.3,1.4",
+                       "--evaluators", "exact,pfa", "--workers", "1")
+    assert code == 2
+    statuses = [line.split(",")[-1] for line in out.splitlines()[1:]]
+    assert statuses == ["error:OverflowError", "ok", "error:OverflowError", "ok"]
 
 
 def test_si_columns_only_with_both_lengths(capsys):

@@ -248,3 +248,24 @@ def test_eccentric_limit_approaches_cylinder_plane_energy():
     cp = energy_exact(CylinderPlane(h_over_a), t, q)
     ecc = energy_exact(Eccentric(60.0 + h_over_a, 60.0), t, q)
     assert ecc.e_hat == pytest.approx(cp.e_hat, rel=0.02)
+
+
+def test_matrix_work_is_pinned():
+    # the frequency-batched assembler keeps every truncation decision:
+    # final (n_max, m_max, nodes) of the reference matrix solves
+    for g, work in ((Eccentric(2.0, 0.5), (24, 104, 256)), (CylinderPlane(2.0), (24, 24, 256))):
+        report = energy_exact(g).report
+        assert (report.n_max_final, report.m_max_final, report.node_count_final) == work
+
+
+# ---------------------------------------------------------------------------
+# Huge finite shapes.
+
+def test_huge_concentric_shape_converges():
+    r = energy_exact(Concentric(1e100))
+    assert r.converged and r.e_hat < 0.0
+
+
+def test_underflowing_energy_is_named():
+    with pytest.raises(NoConvergenceError, match="underflow"):
+        energy_exact(Concentric(1e300))

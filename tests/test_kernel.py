@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from casimir_cylinders.geometry import (
     Concentric,
@@ -115,6 +116,8 @@ def test_eccentric_truncation_insufficient_signal():
     t = TruncationSpec(n_max=4, m_max=8, rel_tol=1e-10)
     with pytest.raises(kernel.TruncationError):
         kernel.build_eccentric(6.0, Eccentric(4.0, 2.5), TM, t)
+    with pytest.raises(kernel.TruncationError):
+        kernel.matrix_log_dets(np.array([0.5, 6.0]), Eccentric(4.0, 2.5), t)
 
 
 def test_cylinder_plane_entry_example():
@@ -149,6 +152,46 @@ def test_logdet_against_eigenvalue_oracle():
 def test_logdet_non_contractive_raises():
     with pytest.raises(kernel.NonContractiveError):
         kernel.log_det_one_minus(np.diag([1.5, 0.2]))
+
+
+def test_batched_non_contraction_is_not_a_value_error():
+    # a failed Cholesky (numpy's LinAlgError subclasses ValueError, which
+    # the CLI reports as a usage error) surfaces as NonContractiveError
+    gram = np.eye(3)[None]
+    with pytest.raises(kernel.NonContractiveError):
+        kernel._parity_log_dets(np.full((1, 3), 0.1), gram, 0.0 * gram)
+
+
+_matrix_geometries = st.one_of(
+    st.builds(
+        lambda alpha, share: Eccentric(alpha, share * (alpha - 1.0)),
+        st.floats(1.2, 3.0),
+        st.floats(0.0, 0.9),
+    ),
+    st.builds(CylinderPlane, st.floats(1.1, 3.0)),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    g=_matrix_geometries,
+    n=st.integers(1, 30),
+    betas=st.lists(st.floats(0.01, 12.0), min_size=1, max_size=4),
+)
+def test_batched_log_dets_match_per_frequency_builds(g, n, betas):
+    t = TruncationSpec(n_max=n)
+    build = kernel.build_eccentric if isinstance(g, Eccentric) else kernel.build_cylinder_plane
+    log_dets, m_used = kernel.matrix_log_dets(np.array(betas), g, t)
+    assert log_dets.shape == (len(betas), 2)
+    m_single = 0
+    for i, beta in enumerate(betas):
+        for j, pol in enumerate((TM, TE)):
+            mat = build(beta, g, pol, t)
+            sign, value = np.linalg.slogdet(np.eye(2 * n + 1) - mat.entries)
+            assert sign == 1.0
+            assert log_dets[i, j] == pytest.approx(value, rel=1e-12, abs=1e-12)
+            m_single = max(m_single, mat.m_used)
+    assert m_used == m_single
 
 
 def test_logdet_nonpositive_for_kernel_matrices():
