@@ -9,15 +9,20 @@ possible.
 
 Evaluation strategy:
 
+* Both ladders run a ratio recurrence vectorized over the arguments and
+  then take one ``log`` and one ``cumsum``: each ratio lies between 1 and
+  about 2N/x, so nothing overflows or needs renormalizing on the way.
+* ``log_i_ladder`` seeds the top ratio rho_{N-1} = I_{N-1}/I_N with a
+  continued fraction and recurs downward (Miller's direction, stable for
+  the minimal solution), rho_k = 2(k+1)/x + 1/rho_{k+1}; the absolute
+  scale is fixed at order zero by ``scipy.special.ive``.  This remains
+  accurate in the large-order / small-argument corner where the scaled
+  scipy routines underflow to zero.
 * ``log_k_ladder`` seeds K_0, K_1 from the exponentially scaled
-  ``scipy.special.kve`` and runs the three-term recurrence upward, which
-  is the stable direction for K.  The recurrence is carried out in log
-  space with ``logaddexp`` so it can never overflow.
-* ``log_i_ladder`` seeds the ratio I_N/I_{N+1} with a continued fraction
-  and recurs downward (Miller's algorithm), renormalizing on the fly; the
-  absolute scale is fixed at order zero by ``scipy.special.ive``.  This
-  remains accurate in the large-order / small-argument corner where the
-  scaled scipy routines underflow to zero.
+  ``scipy.special.kve`` and recurs upward, the stable direction for K,
+  sigma_n = K_{n+1}/K_n = 2n/x + 1/sigma_{n-1}.
+* Below ``_SMALL_ARGUMENT`` both ladders use the exact small-argument
+  forms instead, where 2n/x would overflow the recurrences.
 
 Derivatives use I'_n = (I_{n-1} + I_{n+1})/2 and
 K'_n = -(K_{n-1} + K_{n+1})/2; only the (positive) magnitude of K' is
@@ -66,10 +71,7 @@ MAX_ORDER = 512
 MAX_ARGUMENT = 700.0
 LADDER_MAX_ARGUMENT = 2000.0
 
-_LOG_BIG = 575.6462732485114  # log(1e250), renormalization threshold
-_BIG = 1e250
-_TINY = 1e-250
-_SMALL_ARGUMENT = 1e-8  # log_i_ladder switches to the series below this
+_SMALL_ARGUMENT = 1e-8  # the ladders switch to the small-argument forms below this
 
 
 def _validate_argument(x, cap=LADDER_MAX_ARGUMENT):
@@ -109,74 +111,98 @@ def _i_ratio_cf(n, x):
     raise RuntimeError("continued fraction for I_n/I_{n+1} did not converge")
 
 
+def _by_regime(x, n_max, small_form, recurrence):
+    """Ladder (n_max+1, x.size): ``small_form`` below ``_SMALL_ARGUMENT``, else ``recurrence``."""
+    small = x < _SMALL_ARGUMENT
+    if not small.any():
+        return recurrence(x, n_max)
+    out = np.empty((n_max + 1, x.size))
+    out[:, small] = small_form(x[small], np.arange(n_max + 1)[:, None])
+    if not small.all():
+        out[:, ~small] = recurrence(x[~small], n_max)
+    return out
+
+
+def _i_small(x, n):
+    """n log(x/2) - log n! + log(1 + x^2/(4(n+1))), with the limits at x = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = n * np.log(0.5 * x) - special.gammaln(n + 1) + np.log1p(0.25 * x * x / (n + 1))
+    out[:, x == 0.0] = -np.inf
+    out[0, x == 0.0] = 0.0
+    return out
+
+
+def _i_recurrence(x, n_max):
+    """Downward ratios rho_k = I_k/I_{k+1} = 2(k+1)/x + 1/rho_{k+1} from the CF seed."""
+    rho = np.multiply.outer(np.arange(1.0, n_max + 1), 2.0 / x)
+    if n_max >= 1:
+        rho[-1] = _i_ratio_cf(n_max - 1, x)
+        for k in range(n_max - 2, -1, -1):
+            rho[k] += 1.0 / rho[k + 1]
+    out = np.empty((n_max + 1, x.size))
+    out[0] = np.log(special.ive(0, x)) + x
+    np.log(rho, out=rho)
+    np.cumsum(rho, axis=0, out=rho)
+    np.subtract(out[0], rho, out=out[1:])
+    return out
+
+
 def log_i_ladder(x, n_max):
     """log I_n(x) for n = 0..n_max, shape (n_max+1,) + x.shape.
 
-    Miller downward recurrence seeded by the continued-fraction ratio at
+    Downward ratio recurrence seeded by the continued-fraction ratio at
     the top order; x may be an array.  Below ``_SMALL_ARGUMENT`` the exact
     small-argument form n log(x/2) - log n! + log(1 + x^2/(4(n+1))) is
-    used instead, whose neglected terms are O(x^4); the recurrence would
-    overflow there before it could renormalize.  x == 0 entries yield the
-    exact limits log I_0(0) = 0 and log I_n(0) = -inf for n > 0.
+    used instead, whose neglected terms are O(x^4).  x == 0 entries yield
+    the exact limits log I_0(0) = 0 and log I_n(0) = -inf for n > 0.
     """
     x = _validate_argument(x)
     scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     n_max = int(n_max)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-
-    out = np.full((n_max + 1, x.size), -np.inf)
-    out[0, x == 0.0] = 0.0
-    small = (x > 0.0) & (x < _SMALL_ARGUMENT)
-    if np.any(small):
-        n = np.arange(n_max + 1)[:, None]
-        xs = x[small]
-        out[:, small] = n * np.log(0.5 * xs) - special.gammaln(n + 1) + np.log1p(0.25 * xs * xs / (n + 1))
-    pos = x >= _SMALL_ARGUMENT
-    if np.any(pos):
-        xp = x[pos]
-        log_i0 = np.log(special.ive(0, xp)) + xp
-        if n_max == 0:
-            out[0, pos] = log_i0
-        else:
-            # y_k proportional to I_k; start exactly on the minimal solution.
-            y_hi = np.ones_like(xp)                # ~ I_{n_max+1}
-            y_lo = _i_ratio_cf(n_max, xp)          # ~ I_{n_max}
-            offset = np.zeros_like(xp)
-            logs = np.empty((n_max + 1, xp.size))
-            logs[n_max] = np.log(y_lo)
-            for k in range(n_max, 0, -1):
-                y_hi, y_lo = y_lo, y_hi + (2.0 * k / xp) * y_lo
-                big = y_lo > _BIG
-                if np.any(big):
-                    y_lo[big] *= _TINY
-                    y_hi[big] *= _TINY
-                    offset[big] += _LOG_BIG
-                logs[k - 1] = np.log(y_lo) + offset
-            out[:, pos] = logs - logs[0] + log_i0
+    out = _by_regime(np.atleast_1d(x), n_max, _i_small, _i_recurrence)
     return out[:, 0] if scalar else out
+
+
+def _k_small(x, n):
+    """log K_0 and log K_n = log((n-1)!/2) + n log(2/x), n >= 1, whose
+    relative corrections, O(x^2 log x), are below rounding here."""
+    out = special.gammaln(np.maximum(n, 1)) + n * (math.log(2.0) - np.log(x)) - math.log(2.0)
+    out[0] = np.log(special.kve(0, x)) - x
+    return out
+
+
+def _k_recurrence(x, n_max):
+    """Upward ratios sigma_n = K_{n+1}/K_n = 2n/x + 1/sigma_{n-1} from K_0, K_1."""
+    k0 = special.kve(0, x)
+    sigma = np.multiply.outer(np.arange(float(n_max)), 2.0 / x)
+    if n_max >= 1:
+        sigma[0] = special.kve(1, x) / k0
+        for n in range(1, n_max):
+            sigma[n] += 1.0 / sigma[n - 1]
+    out = np.empty((n_max + 1, x.size))
+    out[0] = np.log(k0) - x
+    np.log(sigma, out=sigma)
+    np.cumsum(sigma, axis=0, out=sigma)
+    np.add(out[0], sigma, out=out[1:])
+    return out
 
 
 def log_k_ladder(x, n_max):
     """log K_n(x) for n = 0..n_max, shape (n_max+1,) + x.shape.
 
-    Upward recurrence K_{n+1} = (2n/x) K_n + K_{n-1} in log space; stable
-    because K grows with order.  Requires x > 0.
+    Upward ratio recurrence from K_0, K_1; stable because K grows with
+    order.  Below ``_SMALL_ARGUMENT`` the small-argument form
+    log K_n = log((n-1)!/2) + n log(2/x) (n >= 1) is used instead, exact
+    to double precision there.  Requires x > 0.
     """
     x = _validate_argument(x)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
     if np.any(x == 0.0):
         raise ValueError("K_n diverges at x = 0")
-    n_max = int(n_max)
-    out = np.empty((n_max + 1, x.size))
-    out[0] = np.log(special.kve(0, x)) - x
-    if n_max >= 1:
-        out[1] = np.log(special.kve(1, x)) - x
-        log_2_over_x = math.log(2.0) - np.log(x)
-        for n in range(1, n_max):
-            out[n + 1] = np.logaddexp(np.log(n) + log_2_over_x + out[n], out[n - 1])
+    out = _by_regime(x, int(n_max), _k_small, _k_recurrence)
     return out[:, 0] if scalar else out
 
 
@@ -186,8 +212,11 @@ def _log_derivative(ladder, n_max):
     F_{-1} = F_1 for integer order, so this is log I'_n from the I ladder
     and log |K'_n| from the K ladder.
     """
-    n = np.arange(n_max + 1)
-    return np.logaddexp(ladder[np.abs(n - 1)], ladder[n + 1]) - math.log(2.0)
+    out = np.empty((n_max + 1,) + ladder.shape[1:])
+    out[0] = ladder[1]
+    np.logaddexp(ladder[: n_max], ladder[2 : n_max + 2], out=out[1:])
+    out[1:] -= math.log(2.0)
+    return out
 
 
 def log_di_ladder(x, n_max):

@@ -15,9 +15,13 @@ tolerance.  Resource caps turn a runaway refinement into
 NoConvergenceError instead of a silent bad number.
 
 For concentric shells the matrices are diagonal and the determinant is a
-plain sum over azimuthal index n.  That sum converges painfully slowly as
-alpha -> 1, so ``energy_concentric_accelerated`` subtracts, inside every
-n >= 1 term of both polarizations, the leading large-order approximant
+plain sum over azimuthal index n: one ``kernel.concentric_log_ratios``
+call per evaluation gives the TM and TE terms from four shared ladders,
+and the integrand keeps their cumulative sums over n, so that one
+evaluation answers every truncation order ``_refine`` asks for up to the
+order it computed.  That sum converges painfully slowly as alpha -> 1,
+so ``energy_concentric_accelerated`` subtracts, inside every n >= 1
+term of both polarizations, the leading large-order approximant
 
     r_n(beta) ~ q_n(beta) = exp(-2 (alpha - 1) sqrt(n^2 + beta^2)),
 
@@ -68,11 +72,13 @@ class NoConvergenceError(RuntimeError):
 def _log1mexp(a):
     """log(1 - exp(a)) for a < 0, accurate over the whole range."""
     a = np.asarray(a, dtype=float)
-    out = np.empty_like(a)
     small = a > -_LN2
+    out = np.exp(a, out=np.empty_like(a))
+    np.expm1(a, out=out, where=small)
+    np.negative(out, out=out)
     with np.errstate(divide="ignore"):
-        out[small] = np.log(-np.expm1(a[small]))
-        out[~small] = np.log1p(-np.exp(a[~small]))
+        np.log(out, out=out, where=small)
+        np.log1p(out, out=out, where=~small)
     return out
 
 
@@ -137,22 +143,44 @@ def _eval_factory(g, q, integrand, offset=0.0):
 # ---------------------------------------------------------------------------
 # Concentric shells: diagonal kernel, vectorized over the frequency grid.
 
-def _concentric_integrand(alpha, accelerated):
+def _concentric_integrand(g, t, accelerated):
     """Folded sums g_0 + 2 sum_{n=1..n_top} g_n with g_n = ln(1 - r_n).
 
     In the accelerated variant every n >= 1 term of either polarization
     has ln(1 - q_n) subtracted, q_n being the resummed uniform approximant.
+
+    A term at order n does not depend on the truncation, so one evaluation
+    at a top order keeps the cumulative folded sums, shape (nb, 2, top+1),
+    and answers every n_top <= top on the same frequencies.  The first
+    evaluation runs where the exp(-2 gap n) envelope of the terms has
+    fallen to rel_tol; a later miss on the same frequencies runs one
+    refinement step ahead; new frequencies (the node doubling at the final
+    order) run at exactly n_top.
     """
+    alpha = g.alpha
+    predicted = math.ceil(-math.log(t.rel_tol) / gap(g))
+    seen, cum = None, None
+
+    def evaluate(betas, top):
+        terms = _log1mexp(kernel.concentric_log_ratios(betas, alpha, None, top))  # (2, top + 1, nb)
+        if accelerated:
+            n = np.arange(1, top + 1)[:, None]
+            terms[:, 1:] -= _log1mexp(-2.0 * (alpha - 1.0) * np.sqrt(n * n + betas[None, :] ** 2))
+        terms[:, 1:] *= 2.0
+        return np.cumsum(terms, axis=1, out=terms).transpose(2, 0, 1)
 
     def integrand(betas, n_top):
-        terms = np.stack([
-            _log1mexp(kernel.concentric_log_ratios(betas, alpha, pol, n_top))
-            for pol in kernel._POLARIZATIONS
-        ])  # (2, n_top + 1, nb)
-        if accelerated:
-            n = np.arange(1, n_top + 1)[:, None]
-            terms[:, 1:] -= _log1mexp(-2.0 * (alpha - 1.0) * np.sqrt(n * n + betas[None, :] ** 2))
-        return (terms[:, 0] + 2.0 * terms[:, 1:].sum(axis=1)).T, 0
+        nonlocal seen, cum
+        if cum is None:
+            top = predicted
+        elif not np.array_equal(betas, seen):
+            top = n_top
+        elif n_top < cum.shape[2]:
+            return cum[:, :, n_top], 0
+        else:
+            top = _next_order(n_top)
+        seen, cum = betas, evaluate(betas, max(n_top, min(t.n_max, top)))
+        return cum[:, :, n_top], 0
 
     return integrand
 
@@ -216,6 +244,11 @@ class _Converged:
     quad_delta: float
 
 
+def _next_order(n):
+    """The truncation order ``_refine`` tries after n, before the cap."""
+    return max(n + 8, (3 * n) // 2)
+
+
 def _refine(eval_at, t, q, n_start=_N_START):
     rel_tol = t.rel_tol
 
@@ -230,7 +263,7 @@ def _refine(eval_at, t, q, n_start=_N_START):
         trunc_delta = math.inf
         converged = False
         while n < t.n_max:
-            planned = max(n + 8, (3 * n) // 2)
+            planned = _next_order(n)
             n_next = min(planned, t.n_max)
             fraction = (n_next - n) / (planned - n)
             e_tm2, e_te2, _ = eval_at(n_next, q.node_count)
@@ -312,7 +345,7 @@ def energy_exact(g, t=None, q=None):
     t = t or TruncationSpec()
     q = q or QuadratureSpec()
     if isinstance(g, Concentric):
-        integrand = _concentric_integrand(g.alpha, accelerated=False)
+        integrand = _concentric_integrand(g, t, accelerated=False)
     else:
         integrand = _matrix_integrand(g, t)
     conv = _refine(_eval_factory(g, q, integrand), t, q)
@@ -338,7 +371,7 @@ def energy_concentric_accelerated(g, t=None, q=None):
     # convergence against the tilde-dominated total.
     n_start = max(_N_START, math.ceil(1.5 / (g.alpha - 1.0)))
     eval_at = _eval_factory(
-        g, q, _concentric_integrand(g.alpha, accelerated=True), offset=0.5 * tilde_energy(g.alpha)
+        g, q, _concentric_integrand(g, t, accelerated=True), offset=0.5 * tilde_energy(g.alpha)
     )
     conv = _refine(eval_at, t, q, n_start=n_start)
     return _result(conv, t, q, accelerated=True)

@@ -18,10 +18,12 @@ magnitudes assemble the same way.
 
 Concentric shells (delta = 0) collapse to the diagonal ratios
 
-    r_n = I_n(beta) K_n(alpha beta) / (I_n(alpha beta) K_n(beta)),
+    r_n = I_n(beta) K_n(alpha beta) / (I_n(alpha beta) K_n(beta))
 
-and in the cylinder-plane limit the inner sum reduces, via the addition
-theorem for modified Bessel functions, to a single K:
+(primed functions for TE), and ``concentric_log_ratios`` takes both
+polarizations from one I and one K ladder at each argument; in the
+cylinder-plane limit the inner sum reduces, via the addition theorem for
+modified Bessel functions, to a single K:
 
     A_np = sqrt(d_n d_p) * K_{n+p}(2 beta H/a).
 
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .bessel import (
+from .bessel import (  # noqa: F401 -- perfbench/tracer.py looks up the derivative ladders here
     _log_derivative,
     log_di_ladder,
     log_dk_ladder,
@@ -116,25 +118,17 @@ class SpectralMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _log_diag_factors(beta, pol, n_max):
-    """log d_n = log |I_n/K_n| (TM) or log |I'_n/K'_n| (TE), n = 0..n_max."""
-    if pol is Polarization.TM:
-        return log_i_ladder(beta, n_max) - log_k_ladder(beta, n_max)
-    return log_di_ladder(beta, n_max) - log_dk_ladder(beta, n_max)
-
-
-def _log_sum_factors(x, pol, m_max):
-    """log |K_m/I_m| (TM) or log |K'_m/I'_m| (TE) at argument x, m = 0..m_max."""
-    return -_log_diag_factors(x, pol, m_max)
-
-
 def concentric_log_ratios(beta, alpha, pol, n_max):
     """log r_n for n = 0..n_max at a single beta (or an array of betas).
 
-    r_n = d_n(beta) / d_n(alpha beta), d_n the diagonal factor above.
+    r_n = d_n(beta) / d_n(alpha beta), d_n the diagonal factor of
+    ``_log_diag_pair``.  pol=None gives both polarizations from the same
+    four ladders, shape (2, n_max + 1) + beta.shape in (TM, TE) order.
     """
     betas = np.asarray(beta, dtype=float)
-    return _log_diag_factors(betas, pol, n_max) - _log_diag_factors(alpha * betas, pol, n_max)
+    log_r = _log_diag_pair(betas, n_max)
+    log_r -= _log_diag_pair(alpha * betas, n_max)
+    return log_r if pol is None else log_r[_POLARIZATIONS.index(pol)]
 
 
 def build_concentric(beta, g, pol, n_max=32):
@@ -157,15 +151,16 @@ def build_concentric(beta, g, pol, n_max=32):
 def _log_diag_pair(x, n_max):
     """(TM, TE) log d_n at argument(s) x, n = 0..n_max, from one I and one K ladder.
 
-    Shape (2, n_max + 1) + x.shape; TE takes I'_n, K'_n from the same
-    ladders through ``_log_derivative``.
+    d_n = |I_n/K_n| (TM) or |I'_n/K'_n| (TE).  Shape (2, n_max + 1) +
+    x.shape; TE takes I'_n, K'_n from the same ladders through
+    ``_log_derivative``.
     """
     log_i = log_i_ladder(x, n_max + 1)
     log_k = log_k_ladder(x, n_max + 1)
-    return np.stack([
-        log_i[: n_max + 1] - log_k[: n_max + 1],
-        _log_derivative(log_i, n_max) - _log_derivative(log_k, n_max),
-    ])
+    out = np.stack([log_i[: n_max + 1], _log_derivative(log_i, n_max)])
+    out[0] -= log_k[: n_max + 1]
+    out[1] -= _log_derivative(log_k, n_max)
+    return out
 
 
 def _inner_grams(half_c, log_bridge, m_cut, n):
@@ -392,7 +387,7 @@ def addition_theorem_check(x, h, n, p, pol, m_max=None):
         raise ValueError("x and h must be positive")
     m_cut = m_max or max(64, math.ceil(4.0 * x)) + abs(n) + abs(p)
     while True:
-        log_c = _log_sum_factors(x + h, pol, m_cut)
+        log_c = -_log_diag_pair(x + h, m_cut)[_POLARIZATIONS.index(pol)]
         log_i = log_i_ladder(x, m_cut + max(abs(n), abs(p)))
         m_vals = np.arange(-m_cut, m_cut + 1)
         terms = (

@@ -6,6 +6,7 @@ series, integral representations, high-precision direct summation or
 eigenvalue factorizations) so agreement is evidence, not tautology.
 """
 
+import functools
 import math
 
 import mpmath as mp
@@ -114,25 +115,42 @@ def uniform_i_ratio_direct(n, y, alpha):
     return float(mp.besseli(n, n * alpha * y) / mp.besseli(n, n * y))
 
 
+@functools.lru_cache(maxsize=None)
+def _memo_bessel(fn, order, arg, dps):
+    """fn(order, arg) for mpmath's besseli/besselk, once per working precision."""
+    return fn(order, arg)
+
+
 def addition_sum(x, h, n, p, pol, m_cut=None):
     """Direct high-precision evaluation of the inner addition-theorem sum.
 
     The summand has a secondary hump near |m| ~ x and its tail decays
     only like exp(-2 m h / x), so the cutoff scales with x and with x/h.
+    Each Bessel value is computed once per (kind, order, argument): the
+    summands at +-m, the derivative neighbours and later calls at the same
+    arguments share them.
     """
     x = mp.mpf(x)
     h = mp.mpf(h)
     m_cut = m_cut or int(4 * float(x) + 16.0 * float(x) / float(h)) + abs(n) + abs(p) + 40
+    y = x + h
+
+    def i(order, arg):
+        return _memo_bessel(mp.besseli, order, arg, mp.mp.dps)
+
+    def k(order, arg):
+        return _memo_bessel(mp.besselk, order, arg, mp.mp.dps)
+
     total = mp.mpf(0)
     for m in range(-m_cut, m_cut + 1):
         am = abs(m)
         if pol == "TM":
-            c = mp.besselk(am, x + h) / mp.besseli(am, x + h)
+            c = k(am, y) / i(am, y)
         else:
-            kp = -(mp.besselk(abs(m - 1), x + h) + mp.besselk(abs(m + 1), x + h)) / 2
-            ip = (mp.besseli(abs(m - 1), x + h) + mp.besseli(abs(m + 1), x + h)) / 2
+            kp = -(k(abs(m - 1), y) + k(abs(m + 1), y)) / 2
+            ip = (i(abs(m - 1), y) + i(abs(m + 1), y)) / 2
             c = kp / ip
-        total += c * mp.besseli(abs(n - m), x) * mp.besseli(abs(p - m), x)
+        total += c * i(abs(n - m), x) * i(abs(p - m), x)
     return float(total)
 
 

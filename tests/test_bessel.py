@@ -130,6 +130,22 @@ def test_log_i_ladder_tiny_argument_closed_form():
     assert ladder[5, 1] == pytest.approx(recurrence - 5.0 * math.log(20.0), abs=1e-12)
 
 
+def test_log_k_ladder_tiny_argument_closed_form():
+    # 2n/x overflows the upward ratio recurrence here: K_n(x) = (n-1)!/2
+    # (2/x)^n to double precision, with no intermediate overflow or warning
+    x, n_max = 1e-300, 40
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ladder = bessel.log_k_ladder(np.array([x, 1e-9]), n_max)
+    n = np.arange(1, n_max + 1)
+    expected = np.array([math.lgamma(k) + k * math.log(2.0 / x) - math.log(2.0) for k in n])
+    assert np.allclose(ladder[1:, 0], expected, rtol=1e-14, atol=0.0)
+    assert ladder[0, 0] == pytest.approx(math.log(-math.log(x / 2.0) - 0.5772156649015329), rel=1e-14)
+    # the small-argument branch joins the recurrence smoothly
+    recurrence = float(bessel.log_k_ladder(2e-8, 5)[5])
+    assert ladder[5, 1] == pytest.approx(recurrence + 5.0 * math.log(20.0), abs=1e-12)
+
+
 @pytest.mark.parametrize(
     "n,x",
     [(0, 1e-3), (0, 1.0), (0, 2.0), (1, 0.3), (5, 10.0), (17, 2.0), (64, 60.0),

@@ -1,13 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from casimir_cylinders import kernel
 from casimir_cylinders.baselines import PfaOrder, pfa_bracket, pfa_concentric
 from casimir_cylinders.engine import (
     NoConvergenceError,
     _beta_limit,
+    _concentric_integrand,
+    _eval_factory,
+    _refine,
     energy_concentric_accelerated,
     energy_difference,
     energy_exact,
@@ -176,6 +181,56 @@ def test_n0_term_is_kept_exactly():
     betas = betas[betas <= _beta_limit(Concentric(alpha))]
     log_r = kernel.concentric_log_ratios(betas, alpha, Polarization.TM, 24)
     assert np.abs(np.log1p(-np.exp(log_r[0]))).max() > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# Concentric work: one evaluation serves the whole truncation ladder.
+
+def test_concentric_work_is_pinned():
+    # the shared ladders and the cumulative sums keep every truncation
+    # decision: final (n_max, nodes) of the reference concentric solves
+    for evaluate, alpha, work in (
+        (energy_exact, 1.05, (181, 256)),
+        (energy_exact, 1.02, (512, 256)),
+        (energy_concentric_accelerated, 1.05, (150, 256)),
+        (energy_concentric_accelerated, 1.01, (512, 256)),
+    ):
+        report = evaluate(Concentric(alpha)).report
+        assert (report.n_max_final, report.node_count_final) == work
+
+
+@pytest.mark.parametrize("adapt", [True, False])
+@pytest.mark.parametrize("accelerated", [False, True])
+def test_cached_orders_match_fresh_evaluations(accelerated, adapt, monkeypatch):
+    g, q = Concentric(1.1), QuadratureSpec()
+    t = TruncationSpec(n_max=120, adapt=adapt)
+    calls = []
+    ratios = kernel.concentric_log_ratios
+    monkeypatch.setattr(kernel, "concentric_log_ratios", lambda *a: calls.append(a) or ratios(*a))
+    cached = _eval_factory(g, q, _concentric_integrand(g, t, accelerated))
+    evaluations = []  # integrand evaluations per refinement step
+
+    def eval_at(n_top, node_count):
+        before = len(calls)
+        got = cached(n_top, node_count)
+        evaluations.append(len(calls) - before)
+        # a fresh integrand capped at n_top evaluates at exactly that order
+        fresh_integrand = _concentric_integrand(g, replace(t, n_max=n_top), accelerated)
+        fresh = _eval_factory(g, q, fresh_integrand)(n_top, node_count)
+        assert got[:2] == pytest.approx(fresh[:2], rel=1e-12, abs=0.0)
+        return got
+
+    _refine(eval_at, t, q)
+    assert len(evaluations) >= 3
+    if adapt:  # the first evaluation serves several refinement steps
+        assert sum(evaluations) < len(evaluations)
+
+
+@settings(max_examples=12, deadline=None)
+@given(alphas=st.floats(1.02, 2.999).flatmap(lambda lo: st.tuples(st.just(lo), st.floats(lo + 1e-3, 3.0))))
+def test_accelerated_energy_negative_and_decreasing_in_alpha(alphas):
+    near, far = (energy_concentric_accelerated(Concentric(a)).e_hat for a in alphas)
+    assert near < far < 0.0
 
 
 # ---------------------------------------------------------------------------
