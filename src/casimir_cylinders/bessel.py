@@ -12,17 +12,23 @@ Evaluation strategy:
 * Both ladders run a ratio recurrence vectorized over the arguments and
   then take one ``log`` and one ``cumsum``: each ratio lies between 1 and
   about 2N/x, so nothing overflows or needs renormalizing on the way.
+* ``log_k_ladder`` starts from e^x K_0 and e^x K_1, computed by the
+  trapezoidal rule on e^x K_n(x) = int_0^inf exp(-2x sinh^2(t/2)) cosh(nt) dt
+  (DLMF 10.32.9): in t for x < 1, and for x >= 1 in s = sqrt(2x) sinh(t/2),
+  where the integrand becomes exp(-s^2) 2/sqrt(2x + s^2), times
+  (1 + s^2/x) for K_1.  The rule converges exponentially for these
+  integrands (Trefethen & Weideman, SIAM Review 56, 2014).  It then
+  recurs upward, the stable direction for K,
+  sigma_n = K_{n+1}/K_n = 2n/x + 1/sigma_{n-1}.
 * ``log_i_ladder`` seeds the top ratio rho_{N-1} = I_{N-1}/I_N with a
   continued fraction and recurs downward (Miller's direction, stable for
-  the minimal solution), rho_k = 2(k+1)/x + 1/rho_{k+1}; the absolute
-  scale is fixed at order zero by ``scipy.special.ive``.  This remains
-  accurate in the large-order / small-argument corner where the scaled
-  scipy routines underflow to zero.
-* ``log_k_ladder`` seeds K_0, K_1 from the exponentially scaled
-  ``scipy.special.kve`` and recurs upward, the stable direction for K,
-  sigma_n = K_{n+1}/K_n = 2n/x + 1/sigma_{n-1}.
+  the minimal solution), rho_k = 2(k+1)/x + 1/rho_{k+1}.  The absolute
+  scale comes from the Wronskian I_0 K_1 + I_1 K_0 = 1/x (DLMF 10.28.2),
+  log I_0 = x - log x - log(e^x K_1 + e^x K_0/rho_0), whose terms are
+  all positive.
 * Below ``_SMALL_ARGUMENT`` both ladders use the exact small-argument
-  forms instead, where 2n/x would overflow the recurrences.
+  forms instead, where 2n/x would overflow the recurrences and
+  cosh(t) the quadrature.
 
 Derivatives use I'_n = (I_{n-1} + I_{n+1})/2 and
 K'_n = -(K_{n-1} + K_{n+1})/2; only the (positive) magnitude of K' is
@@ -38,7 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "MAX_ORDER",
@@ -72,6 +77,28 @@ MAX_ARGUMENT = 700.0
 LADDER_MAX_ARGUMENT = 2000.0
 
 _SMALL_ARGUMENT = 1e-8  # the ladders switch to the small-argument forms below this
+
+# Trapezoidal rules for e^x K_0 and e^x K_1 (``_k01_scaled``), built once:
+# step _STEP in t for x < 1, up to t = log(100/_SMALL_ARGUMENT) + 2, of which
+# a call uses the nodes up to log(100/min x) + 2; for x >= 1 step _STEP in
+# s = sqrt(2x) sinh(t/2) up to s = 6.4, beyond which exp(-s^2) < 2e-18.
+# Row 0 of the weights is the rule for K_0; row 1 carries cosh(t) for K_1
+# in t, and s^2 for the s^2/x part of the K_1 integrand in s.
+_STEP = 0.2
+
+
+def _t_node_count(x_min):
+    """Nodes t = 0, _STEP, ... up to log(100/x_min) + 2."""
+    return int((math.log(100.0 / x_min) + 2.0) / _STEP) + 1
+
+
+_T_NODES = _STEP * np.arange(_t_node_count(_SMALL_ARGUMENT))
+_T_EXPONENTS = -2.0 * np.sinh(0.5 * _T_NODES) ** 2
+_T_WEIGHTS = _STEP * np.array([np.ones_like(_T_NODES), np.cosh(_T_NODES)])
+_T_WEIGHTS[:, 0] *= 0.5
+_S_SQUARES = (_STEP * np.arange(33)) ** 2
+_S_WEIGHTS = _STEP * np.exp(-_S_SQUARES) * np.array([np.ones_like(_S_SQUARES), _S_SQUARES])
+_S_WEIGHTS[:, 0] *= 0.5
 
 
 def _validate_argument(x, cap=LADDER_MAX_ARGUMENT):
@@ -111,36 +138,47 @@ def _i_ratio_cf(n, x):
     raise RuntimeError("continued fraction for I_n/I_{n+1} did not converge")
 
 
-def _by_regime(x, n_max, small_form, recurrence):
-    """Ladder (n_max+1, x.size): ``small_form`` below ``_SMALL_ARGUMENT``, else ``recurrence``."""
-    small = x < _SMALL_ARGUMENT
-    if not small.any():
-        return recurrence(x, n_max)
-    out = np.empty((n_max + 1, x.size))
-    out[:, small] = small_form(x[small], np.arange(n_max + 1)[:, None])
-    if not small.all():
-        out[:, ~small] = recurrence(x[~small], n_max)
+def _piecewise(x, edge, below, above, *args):
+    """``below(x, *args)`` where x < edge and ``above(x, *args)`` elsewhere, each an
+    array with x along its last axis, merged into one such array."""
+    low = x < edge
+    if not low.any():
+        return above(x, *args)
+    if low.all():
+        return below(x, *args)
+    part = below(x[low], *args)
+    out = np.empty(part.shape[:-1] + x.shape)
+    out[..., low] = part
+    out[..., ~low] = above(x[~low], *args)
     return out
 
 
-def _i_small(x, n):
+def _log_factorial(n):
+    """log n! for the column n = 0, 1, ..., N, as a cumulative sum of logs."""
+    return np.cumsum(np.log(np.maximum(n, 1.0)), axis=0)
+
+
+def _i_small(x, n_max):
     """n log(x/2) - log n! + log(1 + x^2/(4(n+1))), with the limits at x = 0."""
+    n = np.arange(n_max + 1)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = n * np.log(0.5 * x) - special.gammaln(n + 1) + np.log1p(0.25 * x * x / (n + 1))
+        out = n * (np.log(x) - math.log(2.0)) - _log_factorial(n) + np.log1p(0.25 * x * x / (n + 1))
     out[:, x == 0.0] = -np.inf
     out[0, x == 0.0] = 0.0
     return out
 
 
 def _i_recurrence(x, n_max):
-    """Downward ratios rho_k = I_k/I_{k+1} = 2(k+1)/x + 1/rho_{k+1} from the CF seed."""
+    """Downward ratios rho_k = I_k/I_{k+1} = 2(k+1)/x + 1/rho_{k+1} from the CF seed;
+    log I_0 from the Wronskian with rho_0."""
     rho = np.multiply.outer(np.arange(1.0, n_max + 1), 2.0 / x)
     if n_max >= 1:
         rho[-1] = _i_ratio_cf(n_max - 1, x)
         for k in range(n_max - 2, -1, -1):
             rho[k] += 1.0 / rho[k + 1]
+    k0, k1 = _k01_scaled(x)
     out = np.empty((n_max + 1, x.size))
-    out[0] = np.log(special.ive(0, x)) + x
+    out[0] = x - np.log(x) - np.log(k1 + k0 / (rho[0] if n_max else _i_ratio_cf(0, x)))
     np.log(rho, out=rho)
     np.cumsum(rho, axis=0, out=rho)
     np.subtract(out[0], rho, out=out[1:])
@@ -161,24 +199,46 @@ def log_i_ladder(x, n_max):
     n_max = int(n_max)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    out = _by_regime(np.atleast_1d(x), n_max, _i_small, _i_recurrence)
+    out = _piecewise(np.atleast_1d(x), _SMALL_ARGUMENT, _i_small, _i_recurrence, n_max)
     return out[:, 0] if scalar else out
 
 
-def _k_small(x, n):
-    """log K_0 and log K_n = log((n-1)!/2) + n log(2/x), n >= 1, whose
-    relative corrections, O(x^2 log x), are below rounding here."""
-    out = special.gammaln(np.maximum(n, 1)) + n * (math.log(2.0) - np.log(x)) - math.log(2.0)
-    out[0] = np.log(special.kve(0, x)) - x
+def _k_small(x, n_max):
+    """log K_0 = log(-log(x/2) - gamma_E) and log K_n = log((n-1)!/2) + n log(2/x),
+    n >= 1, whose relative corrections, O(x^2 log x), are below rounding here."""
+    n = np.arange(n_max + 1)[:, None]
+    log_half_x = np.log(x) - math.log(2.0)  # 0.5 * x would round the least subnormal to 0
+    out = _log_factorial(n) - np.log(np.maximum(n, 1.0)) - n * log_half_x - math.log(2.0)
+    out[0] = np.log(-log_half_x - np.euler_gamma)
     return out
+
+
+def _k01_t(x):
+    """(e^x K_0, e^x K_1) for _SMALL_ARGUMENT <= x < 1: the rule in t."""
+    m = _t_node_count(x.min())
+    return _T_WEIGHTS[:, :m] @ np.exp(np.multiply.outer(_T_EXPONENTS[:m], x))
+
+
+def _k01_s(x):
+    """(e^x K_0, e^x K_1) for x >= 1: the rule in s."""
+    k = _S_WEIGHTS @ (2.0 / np.sqrt(np.add.outer(_S_SQUARES, 2.0 * x)))
+    k[1] /= x
+    k[1] += k[0]
+    return k
+
+
+def _k01_scaled(x):
+    """(e^x K_0(x), e^x K_1(x)), shape (2, x.size), for x >= ``_SMALL_ARGUMENT``, by the
+    trapezoidal rules described in the module docstring."""
+    return _piecewise(x, 1.0, _k01_t, _k01_s)
 
 
 def _k_recurrence(x, n_max):
     """Upward ratios sigma_n = K_{n+1}/K_n = 2n/x + 1/sigma_{n-1} from K_0, K_1."""
-    k0 = special.kve(0, x)
+    k0, k1 = _k01_scaled(x)
     sigma = np.multiply.outer(np.arange(float(n_max)), 2.0 / x)
     if n_max >= 1:
-        sigma[0] = special.kve(1, x) / k0
+        sigma[0] = k1 / k0
         for n in range(1, n_max):
             sigma[n] += 1.0 / sigma[n - 1]
     out = np.empty((n_max + 1, x.size))
@@ -202,7 +262,7 @@ def log_k_ladder(x, n_max):
     x = np.atleast_1d(x)
     if np.any(x == 0.0):
         raise ValueError("K_n diverges at x = 0")
-    out = _by_regime(x, int(n_max), _k_small, _k_recurrence)
+    out = _piecewise(x, _SMALL_ARGUMENT, _k_small, _k_recurrence, int(n_max))
     return out[:, 0] if scalar else out
 
 

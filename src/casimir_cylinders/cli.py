@@ -20,7 +20,8 @@ Energies are reported in units of hbar c L / (4 pi a^2); SI values appear
 only when both --a-meters and --L-meters are given.  CSV floats carry 9
 significant digits and sweep output is byte-stable for a fixed request;
 the wall_ms column stays 0 unless --timing is passed (real timings break
-byte-stability).  CASIMIR_THREADS caps sweep workers.
+byte-stability).  CASIMIR_THREADS caps sweep workers; each worker runs
+BLAS with one thread.
 """
 
 import argparse
@@ -391,6 +392,29 @@ def _format_cell(value):
     return str(value)
 
 
+def _one_blas_thread():
+    """Sweep pool initializer: give numpy's bundled OpenBLAS one thread.
+
+    Each worker already keeps one core busy; BLAS threads on top of that
+    oversubscribe the cores.  Does nothing when no OpenBLAS library with a
+    known thread-count symbol ships with numpy.
+    """
+    import ctypes
+    import glob
+
+    import numpy
+
+    libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for lib in glob.glob(libs):
+        cdll = ctypes.CDLL(lib)
+        for sym in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            set_threads = getattr(cdll, sym, None)
+            if set_threads is not None:
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                set_threads(1)
+                return
+
+
 def _cmd_sweep(args):
     try:
         tasks = _sweep_tasks(args)
@@ -416,7 +440,7 @@ def _cmd_sweep(args):
         timing=args.timing,
     )
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             futures = [pool.submit(_sweep_row, task, **kwargs) for task in tasks]
             rows = [f.result() for f in futures]  # submission order == grid order
     else:

@@ -44,7 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bessel import (  # noqa: F401 -- perfbench/tracer.py looks up the derivative ladders here
     _log_derivative,
@@ -395,7 +394,8 @@ def addition_theorem_check(x, h, n, p, pol, m_max=None):
             + log_i[np.abs(n - m_vals)]
             + log_i[np.abs(p - m_vals)]
         )
-        total = logsumexp(terms)
+        peak = terms.max()
+        total = peak + math.log(np.exp(terms - peak).sum())
         if m_max is not None or max(terms[0], terms[-1]) - total < math.log(1e-14):
             break
         m_cut *= 2

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -144,6 +145,34 @@ def test_log_k_ladder_tiny_argument_closed_form():
     # the small-argument branch joins the recurrence smoothly
     recurrence = float(bessel.log_k_ladder(2e-8, 5)[5])
     assert ladder[5, 1] == pytest.approx(recurrence + 5.0 * math.log(20.0), abs=1e-12)
+
+
+SEED_POINTS = [5e-324, 1e-300, 0.9e-8, 1.1e-8, 0.5, 1 - 1e-12, 1.0, 1 + 1e-12, 3.7, 700.0, 2000.0]
+
+
+@pytest.mark.parametrize("x", SEED_POINTS)
+def test_ladder_seeds_against_mpmath(x):
+    # log K_0, log K_1 and log I_0 (the quadrature and Wronskian seeds, on
+    # both sides of every branch edge) to 1e-14 relative in the function
+    # value, plus two units in the last place of the stored log itself
+    with mpmath.workdps(40):
+        ref_k = [float(mpmath.log(mpmath.besselk(n, x))) for n in (0, 1)]
+        ref_i = [float(mpmath.log(mpmath.besseli(n, x))) for n in (0, 1)]
+    # each case takes its column from one call over all points, so that
+    # the branches are also merged in one array
+    column = SEED_POINTS.index(x)
+    got = {
+        "K": bessel.log_k_ladder(SEED_POINTS, 1)[:, column],
+        "I, n_max 0": bessel.log_i_ladder(SEED_POINTS, 0)[:, column],
+        "I, n_max 1": bessel.log_i_ladder(SEED_POINTS, 1)[:, column],
+        "I, n_max 8": bessel.log_i_ladder(SEED_POINTS, 8)[:2, column],
+        "K, scalar": bessel.log_k_ladder(x, 1),
+        "I, scalar": bessel.log_i_ladder(x, 1),
+    }
+    for name, ladder in got.items():
+        ref = np.array(ref_k if name.startswith("K") else ref_i)[: ladder.size]
+        tol = 1e-14 + 2.0 * np.spacing(np.abs(ref))
+        assert np.all(np.abs(ladder - ref) <= tol), (name, ladder - ref)
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import casimir_cylinders
 from casimir_cylinders import engine
 from casimir_cylinders.cli import CSV_COLUMNS, main
 
@@ -166,6 +169,44 @@ def test_sweep_worker_determinism(tmp_path, capsys):
     assert run(capsys, *args, "--output", str(p1), "--workers", "1")[0] == 0
     assert run(capsys, *args, "--output", str(p2), "--workers", "4")[0] == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _python(code, **env):
+    """Run ``code`` in a fresh interpreter that imports this package; return its stdout."""
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(casimir_cylinders.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=120)
+    return proc.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    out = _python("import sys, casimir_cylinders.cli; "
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out == "[]"
+
+
+def test_sweep_worker_initializer_sets_one_blas_thread():
+    # the environment asks for two threads, so the initializer has work to do
+    out = _python(
+        "import ctypes, glob, os, numpy\n"
+        "from casimir_cylinders import cli\n"
+        "cli._one_blas_thread()\n"
+        "libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, 'numpy.libs', '*openblas*')\n"
+        "for lib in glob.glob(libs):\n"
+        "    for sym in ('scipy_openblas_get_num_threads64_', 'openblas_get_num_threads64_',\n"
+        "                'openblas_get_num_threads'):\n"
+        "        get = getattr(ctypes.CDLL(lib), sym, None)\n"
+        "        if get is not None:\n"
+        "            get.argtypes, get.restype = [], ctypes.c_int\n"
+        "            print(get())\n"
+        "            raise SystemExit\n"
+        "print('none')\n",
+        OPENBLAS_NUM_THREADS="2",
+    )
+    if out == "none":
+        pytest.skip("numpy ships no OpenBLAS with a known thread-count symbol")
+    assert out == "1"
 
 
 def test_sweep_env_caps_workers(tmp_path, capsys, monkeypatch):
