@@ -12,36 +12,41 @@ Examples:
         --evaluators exact,accelerated,nntl --output sweep.csv
     casimir-cyl selftest
 
-Exit codes: 0 success, 1 usage or invalid geometry, 2 non-convergence or
-another numerical failure.
+Exit codes: 0 success, 1 usage or invalid geometry (malformed config,
+geometry and j-table files included), 2 non-convergence or another
+numerical failure.
 Flags override config-file values (--config, JSON with the same names),
 which override the defaults (rel_tol 1e-4, 128 transformed-Gauss nodes).
 Energies are reported in units of hbar c L / (4 pi a^2); SI values appear
 only when both --a-meters and --L-meters are given.  CSV floats carry 9
 significant digits and sweep output is byte-stable for a fixed request;
 the wall_ms column stays 0 unless --timing is passed (real timings break
-byte-stability).  CASIMIR_THREADS caps sweep workers; each worker runs
-BLAS with one thread.
+byte-stability).  CASIMIR_THREADS caps sweep workers, the pool never
+starts more workers than the sweep has rows, and each worker runs BLAS
+with one thread.
 """
 
 import argparse
 import concurrent.futures
+import functools
+import itertools
 import json
 import math
 import os
 import sys
 import time
+from dataclasses import asdict, fields
 
 from . import baselines, engine, kernel, rackpinion
 from .geometry import (
     Concentric,
     CylinderPlane,
     Eccentric,
-    GeometryError,
     Polarization,
     QuadratureRule,
     QuadratureSpec,
     TruncationSpec,
+    gap,
     geometry_from_dict,
     geometry_to_dict,
     to_physical,
@@ -52,8 +57,31 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NO_CONVERGENCE = 2
 
-ANALYTIC_EVALUATORS = ("pfa", "ntl", "nntl", "asymptote")
-ALL_EVALUATORS = ("exact", "accelerated") + ANALYTIC_EVALUATORS
+# Subcommand or sweep family -> geometry; the shape flags are its fields.
+FAMILIES = {"concentric": Concentric, "eccentric": Eccentric, "cylplane": CylinderPlane}
+
+# Concentric-only baselines: evaluator name -> e_hat as a function of alpha.
+ANALYTIC_EVALUATORS = {
+    "pfa": functools.partial(baselines.pfa_concentric, order=baselines.PfaOrder.LEADING),
+    "ntl": functools.partial(baselines.pfa_concentric, order=baselines.PfaOrder.NTL),
+    "nntl": functools.partial(baselines.pfa_concentric, order=baselines.PfaOrder.NNTL),
+    "asymptote": baselines.large_alpha_asymptote,
+}
+ALL_EVALUATORS = ("exact", "accelerated", *ANALYTIC_EVALUATORS)
+
+# First match wins: exception type, stderr prefix, exit code, sweep row status
+# ({exc} is the message, {name} the exception type).
+_FAILURES = (
+    (engine.NoConvergenceError, "no-convergence", EXIT_NO_CONVERGENCE, "no-convergence"),
+    (kernel.NonContractiveError, "non-contractive", EXIT_NO_CONVERGENCE, "non-contractive"),
+    (kernel.TruncationError, "non-contractive", EXIT_NO_CONVERGENCE, "truncation-insufficient"),
+    (ValueError, "error", EXIT_USAGE, "error:{exc}"),
+    (OSError, "error", EXIT_USAGE, "error:{exc}"),
+    (KeyError, "error", EXIT_USAGE, "error:{exc}"),
+    (RuntimeError, "error", EXIT_NO_CONVERGENCE, "error:{name}"),
+    (ArithmeticError, "error", EXIT_NO_CONVERGENCE, "error:{name}"),
+)
+_HANDLED = tuple(row[0] for row in _FAILURES)
 
 CSV_COLUMNS = (
     "geometry_family",
@@ -80,8 +108,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _failure(exc):
+    return next(row for row in _FAILURES if isinstance(exc, row[0]))
+
+
 def _fmt(value):
     return format(float(value), ".9g")
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
 
 
 def _parse_grid(text):
@@ -100,16 +136,20 @@ def _parse_grid(text):
     return [float(v) for v in text.split(",") if v.strip()]
 
 
-def _merged_settings(args, config_path):
+def _merged_settings(args):
     settings = dict(DEFAULTS)
-    if config_path:
-        with open(config_path) as fh:
+    if args.config:
+        with open(args.config) as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
         for key in settings:
             if key in loaded:
+                if not isinstance(loaded[key], (int, float, str)):
+                    raise ValueError(f"config {key} must be a number or a string, not {loaded[key]!r}")
                 settings[key] = loaded[key]
     for key in settings:
-        value = getattr(args, key.replace("-", "_"), None)
+        value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
     return settings
@@ -125,24 +165,12 @@ def _specs(settings):
     return t, q
 
 
-def _analytic_energy(evaluator, alpha):
-    if evaluator == "pfa":
-        return baselines.pfa_concentric(alpha, baselines.PfaOrder.LEADING)
-    if evaluator == "ntl":
-        return baselines.pfa_concentric(alpha, baselines.PfaOrder.NTL)
-    if evaluator == "nntl":
-        return baselines.pfa_concentric(alpha, baselines.PfaOrder.NNTL)
-    if evaluator == "asymptote":
-        return baselines.large_alpha_asymptote(alpha)
-    raise ValueError(f"unknown evaluator {evaluator!r}")
-
-
 def _evaluate(geometry, evaluator, t, q):
     """Returns a plain dict shared by single-point and sweep output."""
+    if evaluator != "exact" and not isinstance(geometry, Concentric):
+        raise ValueError(f"evaluator {evaluator!r} applies to concentric shells only")
     if evaluator in ANALYTIC_EVALUATORS:
-        if not isinstance(geometry, Concentric):
-            raise ValueError(f"evaluator {evaluator!r} applies to concentric shells only")
-        e_hat = _analytic_energy(evaluator, geometry.alpha)
+        e_hat = ANALYTIC_EVALUATORS[evaluator](geometry.alpha)
         return {
             "e_hat": e_hat,
             "e_tm": 0.5 * e_hat,  # analytic baselines do not resolve the split
@@ -152,14 +180,9 @@ def _evaluate(geometry, evaluator, t, q):
             "nodes": 0,
             "converged": True,
         }
-    if evaluator == "accelerated":
-        if not isinstance(geometry, Concentric):
-            raise ValueError("evaluator 'accelerated' applies to concentric shells only")
-        result = engine.energy_concentric_accelerated(geometry, t, q)
-    elif evaluator == "exact":
-        result = engine.energy_exact(geometry, t, q)
-    else:
-        raise ValueError(f"unknown evaluator {evaluator!r}")
+    # looked up per call: tests and the benchmark tracer replace these
+    solve = engine.energy_exact if evaluator == "exact" else engine.energy_concentric_accelerated
+    result = solve(geometry, t, q)
     return {
         "e_hat": result.e_hat,
         "e_tm": result.e_tm,
@@ -172,53 +195,31 @@ def _evaluate(geometry, evaluator, t, q):
     }
 
 
-_GEOMETRY_CLASSES = {"concentric": Concentric, "eccentric": Eccentric, "cylplane": CylinderPlane}
-
-
-def _geometry_from_args(command, args):
+def _geometry_from_args(args):
+    cls = FAMILIES[args.command]
     if args.geometry_json:
         with open(args.geometry_json) as fh:
             geometry = geometry_from_dict(json.load(fh))
-        if not isinstance(geometry, _GEOMETRY_CLASSES[command]):
+        if not isinstance(geometry, cls):
             raise ValueError(
-                f"geometry file holds a {type(geometry).__name__}, not a {command} configuration"
+                f"geometry file holds a {type(geometry).__name__}, not a {args.command} configuration"
             )
         return validate(geometry)
-    if command == "concentric":
-        if args.alpha is None:
-            raise ValueError("need --alpha (or --geometry-json)")
-        return validate(Concentric(alpha=args.alpha))
-    if command == "eccentric":
-        if args.alpha is None or args.delta is None:
-            raise ValueError("need --alpha and --delta (or --geometry-json)")
-        return validate(Eccentric(alpha=args.alpha, delta=args.delta))
-    if command == "cylplane":
-        if args.h_over_a is None:
-            raise ValueError("need --h-over-a (or --geometry-json)")
-        return validate(CylinderPlane(h_over_a=args.h_over_a))
-    raise ValueError(command)
+    names = [f.name for f in fields(cls)]
+    values = [getattr(args, name) for name in names]
+    if None in values:
+        raise ValueError(f"need {' and '.join(map(_flag, names))} (or --geometry-json)")
+    return validate(cls(*values))
 
 
-def _cmd_energy(command, args):
-    try:
-        geometry = _geometry_from_args(command, args)
-        settings = _merged_settings(args, args.config)
-        t, q = _specs(settings)
-        record = _evaluate(geometry, args.evaluator, t, q)
-    except (GeometryError, ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except engine.NoConvergenceError as exc:
-        print(f"no-convergence: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except (kernel.NonContractiveError, kernel.TruncationError) as exc:
-        print(f"non-contractive: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except (RuntimeError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-
-    record = {"geometry": geometry_to_dict(geometry), "evaluator": args.evaluator, **record}
+def _cmd_energy(args):
+    geometry = _geometry_from_args(args)
+    t, q = _specs(_merged_settings(args))
+    record = {
+        "geometry": geometry_to_dict(geometry),
+        "evaluator": args.evaluator,
+        **_evaluate(geometry, args.evaluator, t, q),
+    }
     total = record["e_tm"] + record["e_te"]
     record["fraction_tm"] = record["e_tm"] / total
     record["fraction_te"] = record["e_te"] / total
@@ -241,8 +242,6 @@ def _cmd_energy(command, args):
 
 def _dump_matrix(geometry, t, q, path):
     """Debug dump of one spectral matrix at a representative frequency."""
-    from .geometry import gap
-
     beta = 1.0 / (2.0 * gap(geometry))
     build = (
         kernel.build_eccentric if isinstance(geometry, Eccentric) else kernel.build_cylinder_plane
@@ -254,30 +253,16 @@ def _dump_matrix(geometry, t, q, path):
 
 
 def _cmd_rackpinion(args):
-    try:
-        spec = rackpinion.CorrugationSpec(
-            amplitude=args.amplitude,
-            wavelength=args.wavelength,
-            displacement=args.displacement,
-            gap=args.gap,
-            radius=args.radius,
-            length=args.length,
-        )
-        profile = (
-            rackpinion.ProfileJ.from_file(args.j_table)
-            if args.j_table
-            else rackpinion.ProfileJ.constant(1.0)
-        )
-        record = {
-            "energy_pp_per_area": rackpinion.energy_pp(spec, profile),
-            "energy_plane_rack": rackpinion.energy_plane_rack(spec, profile),
-            "energy_cyl_rack": rackpinion.energy_cyl_rack(spec, profile),
-            "force_ratio": rackpinion.force_ratio(spec, profile),
-            "sqrt_a_over_d": math.sqrt(spec.radius / spec.gap),
-        }
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    spec = rackpinion.CorrugationSpec(*(getattr(args, f.name) for f in fields(rackpinion.CorrugationSpec)))
+    # without a table the estimates use their default, constant J = 1
+    profile = rackpinion.ProfileJ.from_file(args.j_table) if args.j_table else None
+    record = {
+        "energy_pp_per_area": rackpinion.energy_pp(spec, profile),
+        "energy_plane_rack": rackpinion.energy_plane_rack(spec, profile),
+        "energy_cyl_rack": rackpinion.energy_cyl_rack(spec, profile),
+        "force_ratio": rackpinion.force_ratio(spec, profile),
+        "sqrt_a_over_d": math.sqrt(spec.radius / spec.gap),
+    }
     if args.format == "json":
         print(json.dumps(record, indent=2, sort_keys=True))
     else:
@@ -290,26 +275,14 @@ def _cmd_rackpinion(args):
 # Sweeps.
 
 def _sweep_tasks(args):
-    family = args.family
-    alphas = _parse_grid(args.alpha) if args.alpha else []
-    if family == "concentric":
-        if not alphas:
-            raise ValueError("concentric sweep needs --alpha")
-        points = [(a, 0.0) for a in alphas]
-    elif family == "eccentric":
-        deltas = _parse_grid(args.delta) if args.delta else None
-        if not alphas or not deltas:
-            raise ValueError("eccentric sweep needs --alpha and --delta")
-        points = [(a, d) for a in alphas for d in deltas]
-    elif family == "cylplane":
-        hs = _parse_grid(args.h_over_a) if args.h_over_a else None
-        if not hs:
-            raise ValueError("cylplane sweep needs --h-over-a")
-        points = [(h, h) for h in hs]
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    if not points:
-        raise ValueError("empty sweep grid")
+    """(family, geometry, evaluator, (t, q)) per row, in grid-times-evaluator order."""
+    cls = FAMILIES[args.family]
+    names = [f.name for f in fields(cls)]
+    # --alpha is parsed for every family, so a malformed --alpha is a
+    # usage error even where the family has no alpha
+    grids = {name: _parse_grid(getattr(args, name) or "") for name in dict.fromkeys(("alpha", *names))}
+    if not all(grids[name] for name in names):
+        raise ValueError(f"{args.family} sweep needs {' and '.join(map(_flag, names))}")
     evaluators = [e.strip() for e in args.evaluators.split(",") if e.strip()]
     if not evaluators:
         raise ValueError("no evaluators requested")
@@ -318,37 +291,18 @@ def _sweep_tasks(args):
             raise ValueError(f"unknown evaluator {ev!r}")
     # validate every grid point up front: a sweep with an invalid point
     # is a usage error, not a partial failure
-    for first, second in points:
-        if family == "concentric":
-            validate(Concentric(first))
-        elif family == "eccentric":
-            validate(Eccentric(first, second))
-        else:
-            validate(CylinderPlane(first))
-    return [
-        (family, first, second, ev)
-        for first, second in points
-        for ev in evaluators
-    ]
+    geometries = [validate(cls(*point)) for point in itertools.product(*(grids[n] for n in names))]
+    specs = _specs(_merged_settings(args))
+    return [(args.family, g, ev, specs) for g in geometries for ev in evaluators]
 
 
-def _sweep_row(task, rel_tol, nodes, scale, rule, timing):
-    family, first, second, evaluator = task
-    if family == "concentric":
-        geometry = Concentric(first)
-        alpha, delta_or_h = first, 0.0
-    elif family == "eccentric":
-        geometry = Eccentric(first, second)
-        alpha, delta_or_h = first, second
-    else:
-        geometry = CylinderPlane(first)
-        alpha, delta_or_h = 0.0, first
-    t = TruncationSpec(rel_tol=rel_tol)
-    q = QuadratureSpec(node_count=nodes, scale=scale, rule=QuadratureRule(rule))
+def _sweep_row(task, timing):
+    family, geometry, evaluator, (t, q) = task
+    shape = asdict(geometry)
     row = {
         "geometry_family": family,
-        "alpha": alpha,
-        "delta_or_h": delta_or_h,
+        "alpha": shape.get("alpha", 0.0),
+        "delta_or_h": shape.get("delta", shape.get("h_over_a", 0.0)),
         "evaluator": evaluator,
         "e_hat": "",
         "e_tm": "",
@@ -362,16 +316,8 @@ def _sweep_row(task, rel_tol, nodes, scale, rule, timing):
     start = time.perf_counter()
     try:
         record = _evaluate(geometry, evaluator, t, q)
-    except engine.NoConvergenceError:
-        row["status"] = "no-convergence"
-    except kernel.NonContractiveError:
-        row["status"] = "non-contractive"
-    except kernel.TruncationError:
-        row["status"] = "truncation-insufficient"
-    except ValueError as exc:
-        row["status"] = f"error:{exc}"
-    except (RuntimeError, ArithmeticError) as exc:
-        row["status"] = f"error:{type(exc).__name__}"
+    except _HANDLED as exc:
+        row["status"] = _failure(exc)[3].format(exc=exc, name=type(exc).__name__)
     else:
         row.update(
             e_hat=record["e_hat"],
@@ -416,35 +362,22 @@ def _one_blas_thread():
 
 
 def _cmd_sweep(args):
-    try:
-        tasks = _sweep_tasks(args)
-        settings = _merged_settings(args, args.config)
-        _specs(settings)  # validate early
-    except (GeometryError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    tasks = _sweep_tasks(args)
     workers = args.workers
     env_cap = os.environ.get("CASIMIR_THREADS")
     if env_cap:
         try:
             workers = min(workers, max(1, int(env_cap)))
         except ValueError:
-            print(f"error: CASIMIR_THREADS must be an integer, got {env_cap!r}", file=sys.stderr)
-            return EXIT_USAGE
-    kwargs = dict(
-        rel_tol=float(settings["rel_tol"]),
-        nodes=int(settings["nodes"]),
-        scale=float(settings["scale"]),
-        rule=settings["rule"],
-        timing=args.timing,
-    )
+            raise ValueError(f"CASIMIR_THREADS must be an integer, got {env_cap!r}") from None
     if workers > 1:
+        # the fork start method starts all max_workers at the first submit
+        workers = min(workers, len(tasks))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
-            futures = [pool.submit(_sweep_row, task, **kwargs) for task in tasks]
+            futures = [pool.submit(_sweep_row, task, args.timing) for task in tasks]
             rows = [f.result() for f in futures]  # submission order == grid order
     else:
-        rows = [_sweep_row(task, **kwargs) for task in tasks]
+        rows = [_sweep_row(task, args.timing) for task in tasks]
 
     if args.format == "json":
         payload = json.dumps(rows, indent=2, sort_keys=True)
@@ -518,14 +451,11 @@ def build_parser():
     parser = _Parser(prog="casimir-cyl", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, extra in (
-        ("concentric", ("alpha",)),
-        ("eccentric", ("alpha", "delta")),
-        ("cylplane", ("h_over_a",)),
-    ):
+    for name, cls in FAMILIES.items():
         p = sub.add_parser(name, help=f"energy of the {name} configuration")
-        for field in extra:
-            p.add_argument(f"--{field.replace('_', '-')}", dest=field, type=float, default=None)
+        p.set_defaults(run=_cmd_energy)
+        for field in fields(cls):
+            p.add_argument(_flag(field.name), dest=field.name, type=float, default=None)
         p.add_argument("--geometry-json", dest="geometry_json", default=None,
                        help="JSON geometry file with a 'type' discriminator; replaces the shape flags")
         p.add_argument("--evaluator", choices=ALL_EVALUATORS, default="exact")
@@ -536,16 +466,17 @@ def build_parser():
         p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = sub.add_parser("rackpinion", help="corrugated rack-and-pinion estimates")
-    for field in ("amplitude", "wavelength", "displacement", "gap", "radius", "length"):
-        p.add_argument(f"--{field}", type=float, required=True)
+    p.set_defaults(run=_cmd_rackpinion)
+    for field in fields(rackpinion.CorrugationSpec):
+        p.add_argument(_flag(field.name), type=float, required=True)
     p.add_argument("--j-table", dest="j_table", default=None, help="two-column d/lambda, J file")
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = sub.add_parser("sweep", help="parameter sweep to CSV or JSON")
-    p.add_argument("--family", choices=["concentric", "eccentric", "cylplane"], required=True)
-    p.add_argument("--alpha", default=None, help="grid: start:stop:count or comma list")
-    p.add_argument("--delta", default=None)
-    p.add_argument("--h-over-a", dest="h_over_a", default=None)
+    p.set_defaults(run=_cmd_sweep)
+    p.add_argument("--family", choices=list(FAMILIES), required=True)
+    for name in dict.fromkeys(f.name for cls in FAMILIES.values() for f in fields(cls)):
+        p.add_argument(_flag(name), dest=name, default=None, help="grid: start:stop:count or comma list")
     p.add_argument("--evaluators", default="exact")
     p.add_argument("--output", default=None)
     p.add_argument("--workers", type=int, default=1)
@@ -553,22 +484,18 @@ def build_parser():
     _add_common(p)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    sub.add_parser("selftest", help="run the checkpoint suite")
+    sub.add_parser("selftest", help="run the checkpoint suite").set_defaults(run=_cmd_selftest)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command in ("concentric", "eccentric", "cylplane"):
-        return _cmd_energy(args.command, args)
-    if args.command == "rackpinion":
-        return _cmd_rackpinion(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "selftest":
-        return _cmd_selftest(args)
-    parser.error(f"unknown command {args.command!r}")
+    args = build_parser().parse_args(argv)
+    try:
+        return args.run(args)
+    except _HANDLED as exc:
+        _, prefix, code, _ = _failure(exc)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

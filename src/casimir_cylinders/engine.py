@@ -249,8 +249,16 @@ def _next_order(n):
     return max(n + 8, (3 * n) // 2)
 
 
+def _check_node_cap(nodes):
+    if 2 * nodes > NODE_CAP:
+        raise NoConvergenceError(f"node cap {NODE_CAP} reached without quadrature convergence")
+
+
 def _refine(eval_at, t, q, n_start=_N_START):
     rel_tol = t.rel_tol
+    # The node doubling at the end needs room for one step; without it
+    # the truncation ladder below would be wasted work.
+    _check_node_cap(q.node_count)
 
     # Grow the truncation order on the base grid (factor 1.5 keeps the
     # certificate fine-grained near the cap) until the last step moves
@@ -286,14 +294,13 @@ def _refine(eval_at, t, q, n_start=_N_START):
     nodes = q.node_count
     m_used = 0
     while True:
-        if 2 * nodes > NODE_CAP:
-            raise NoConvergenceError(f"node cap {NODE_CAP} reached without quadrature convergence")
         e_tm2, e_te2, m_used = eval_at(n, 2 * nodes)
         quad_delta = _rel_delta(e_tm2 + e_te2, e_tm + e_te)
         nodes *= 2
         e_tm, e_te = e_tm2, e_te2
         if quad_delta <= rel_tol:
             break
+        _check_node_cap(nodes)
     if e_tm + e_te == 0.0:
         raise NoConvergenceError(
             f"energy underflowed to 0.0 at n_max = {n} with {nodes} nodes"

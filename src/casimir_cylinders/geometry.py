@@ -16,7 +16,7 @@ Shape parameters:
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 
 __all__ = [
@@ -133,26 +133,31 @@ def to_physical(e_hat, a, L):
     return e_hat * HBAR_C * L / (4.0 * math.pi * a * a)
 
 
+_TYPE_NAMES = {Concentric: "concentric", Eccentric: "eccentric", CylinderPlane: "cylinder-plane"}
+
+
 def geometry_to_dict(g):
     """JSON-ready mapping with a 'type' discriminator."""
-    if isinstance(g, Concentric):
-        return {"type": "concentric", "alpha": g.alpha}
-    if isinstance(g, Eccentric):
-        return {"type": "eccentric", "alpha": g.alpha, "delta": g.delta}
-    if isinstance(g, CylinderPlane):
-        return {"type": "cylinder-plane", "h_over_a": g.h_over_a}
-    raise TypeError(f"not a geometry: {g!r}")
+    if type(g) not in _TYPE_NAMES:
+        raise TypeError(f"not a geometry: {g!r}")
+    return {"type": _TYPE_NAMES[type(g)], **asdict(g)}
 
 
 def geometry_from_dict(d):
-    kind = d.get("type")
-    if kind == "concentric":
-        return Concentric(alpha=float(d["alpha"]))
-    if kind == "eccentric":
-        return Eccentric(alpha=float(d["alpha"]), delta=float(d["delta"]))
-    if kind == "cylinder-plane":
-        return CylinderPlane(h_over_a=float(d["h_over_a"]))
-    raise ValueError(f"unknown geometry type: {kind!r}")
+    """Inverse of ``geometry_to_dict``; malformed input raises ValueError or KeyError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"geometry must be a JSON object, not {type(d).__name__}")
+    for cls, kind in _TYPE_NAMES.items():
+        if d.get("type") == kind:
+            return cls(*(_number(d, f.name) for f in fields(cls)))
+    raise ValueError(f"unknown geometry type: {d.get('type')!r}")
+
+
+def _number(d, name):
+    try:
+        return float(d[name])
+    except TypeError:
+        raise ValueError(f"{name} must be a number, not {d[name]!r}") from None
 
 
 @dataclass(frozen=True)

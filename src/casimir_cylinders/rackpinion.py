@@ -99,6 +99,8 @@ class ProfileJ:
     @classmethod
     def from_table(cls, table):
         table = np.asarray(table, dtype=float)
+        if table.ndim != 2 or table.shape[1] != 2:
+            raise ValueError(f"need a two-column table of d/lambda and J, got shape {table.shape}")
         return cls(ratios=table[:, 0], values=table[:, 1])
 
     @classmethod
@@ -127,6 +129,8 @@ def _theta_integral(c, profile, nodes_per_panel=32):
     anchored at the spike and mirrored by symmetry.
     """
     width = math.sqrt(2.0 * c.gap / c.radius)
+    if not width > 0.0:  # the panels below would never reach pi
+        raise ValueError(f"gap/radius = {c.gap / c.radius:.3g} is too small to resolve")
     edges = [0.0]
     step = min(width, math.pi)
     while edges[-1] < math.pi:

@@ -1,12 +1,16 @@
+import concurrent.futures
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import casimir_cylinders
-from casimir_cylinders import engine
+from casimir_cylinders import cli, engine
 from casimir_cylinders.cli import CSV_COLUMNS, main
 
 
@@ -276,3 +280,191 @@ def test_geometry_json_input(tmp_path, capsys):
     # missing shape flags without a geometry file is a usage error
     code, _, err = run(capsys, "concentric")
     assert code == 1 and "--alpha" in err
+
+
+_RACKPINION = ["rackpinion", "--amplitude", "1e-8", "--wavelength", "1e-6", "--displacement", "0",
+               "--gap", "1e-6", "--radius", "1e-4", "--length", "1e-2"]
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["sweep", "--family", "concentric", "--alpha", "1.3", "--config", "{tmp}/missing.json"], {}),
+    (["sweep", "--family", "concentric", "--alpha", "1.3", "--evaluators", "pfa",
+      "--output", "{tmp}/no/dir/x.csv"], {}),
+    (["eccentric", "--alpha", "2", "--delta", "0.5", "--rel-tol", "1e-3",
+      "--dump-matrix", "{tmp}/no/dir/d.txt"], {}),
+    (["concentric", "--geometry-json", "{tmp}/g.json"], {"g.json": "[1,2]"}),
+    (["concentric", "--geometry-json", "{tmp}/g.json"], {"g.json": '{"type":"concentric","alpha":null}'}),
+    (["concentric", "--alpha", "1.3", "--config", "{tmp}/c.json"], {"c.json": "null"}),
+    (["concentric", "--alpha", "1.3", "--config", "{tmp}/c.json"], {"c.json": '{"nodes": null}'}),
+    (["sweep", "--family", "concentric", "--alpha", "1.3", "--config", "{tmp}/c.json"],
+     {"c.json": '{"nodes": null}'}),
+    (_RACKPINION + ["--j-table", "{tmp}/j.txt"], {"j.txt": "0.5\n1.0\n2.0\n"}),
+])
+def test_malformed_input_is_a_named_usage_error(tmp_path, capsys, argv, files):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_missing_geometry_field_keeps_its_message(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text('{"type": "concentric"}')
+    assert run(capsys, "concentric", "--geometry-json", str(path)) == (1, "", "error: 'alpha'\n")
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: runs each task at submit, starts no process."""
+
+    sizes = []
+
+    def __init__(self, max_workers, initializer):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("alphas, workers, sizes", [
+    ("1.5", "2", [1]),
+    ("1.5,1.6", "8", [2]),
+    ("1.5:1.8:4", "3", [3]),
+    ("1.5,1.6", "1", []),
+])
+def test_sweep_pool_never_exceeds_the_rows(capsys, monkeypatch, alphas, workers, sizes):
+    monkeypatch.delenv("CASIMIR_THREADS", raising=False)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    code, out, _ = run(capsys, "sweep", "--family", "concentric", "--alpha", alphas,
+                       "--evaluators", "pfa", "--workers", workers)
+    assert code == 0 and len(out.splitlines()) == 1 + len(alphas.split(",")) * (4 if ":" in alphas else 1)
+    assert _RecordingPool.sizes == sizes
+
+
+def _no_nodes(*_args):
+    raise AssertionError("quadrature nodes built for a node count that cannot converge")
+
+
+@pytest.mark.parametrize("argv", [
+    ["concentric", "--alpha", "2", "--nodes", "2049"],
+    ["concentric", "--alpha", "1.05", "--evaluator", "accelerated", "--nodes", "100000"],
+    ["eccentric", "--alpha", "2", "--delta", "0.5", "--nodes", "100000"],
+])
+def test_node_count_past_the_cap_fails_before_any_work(capsys, monkeypatch, argv):
+    monkeypatch.setattr(engine, "semi_infinite_nodes", _no_nodes)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "no-convergence: node cap 4096 reached without quadrature convergence\n"
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed arguments: every outcome is exit 0, 1 or 2, or argparse's SystemExit(1);
+# no other exception escapes main.  Shapes, flags and files mix cheap valid
+# values with junk.
+
+_JUNK = ["abc", "", "inf", "nan", "-1", "0", "1e400"]
+_SHAPES = {"alpha": ["1.6", "2", "5"], "delta": ["0", "0.2"], "h-over-a": ["1.5", "3"]}
+_RACK = {"amplitude": ["1e-8"], "wavelength": ["1e-6"], "displacement": ["0", "2.5e-7"],
+         "gap": ["1e-6"], "radius": ["1e-4", "5e-6"], "length": ["1e-2"]}
+_FILES = {
+    "config": ['{"rel_tol": 1e-3, "nodes": 64}', "null", "[1,2]", '{"nodes": null}',
+               '{"nodes": "abc"}', '{"rule": 5}', '{"scale": [1]}', "{not json", None],
+    "geometry": ['{"type": "concentric", "alpha": 2}', '{"type": "eccentric", "alpha": 2, "delta": 0.2}',
+                 '{"type": "cylinder-plane", "h_over_a": 2}', '{"type": "concentric", "alpha": 1e300}',
+                 "[1,2]", '{"type": "concentric", "alpha": null}', '{"type": "concentric"}',
+                 '{"type": [1]}', '{"type": "eccentric", "alpha": "abc", "delta": 0}', "{not json", None],
+    "jtable": ["0.5 1.0\n1.0 1.2\n2.0 1.5\n", "0.5\n1.0\n", "0.5 1 2\n1 2 3\n", "1 1\n0.5 2\n",
+               "x y\n", "", None],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """kind -> paths of the junk and valid input files; None names a missing file."""
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = {}
+    for kind, texts in _FILES.items():
+        paths[kind] = []
+        for i, text in enumerate(texts):
+            path = root / f"{kind}{i}.txt"
+            if text is not None:
+                path.write_text(text)
+            paths[kind].append(str(path))
+    paths["output"] = [str(root / "out.txt"), str(root / "no" / "out.txt")]
+    return paths
+
+
+def _value(valid):
+    return st.one_of(st.sampled_from(valid), st.sampled_from(_JUNK))
+
+
+def _pair(flag, values):
+    return values.map(lambda v: [flag, v])
+
+
+def _option(flag, values):
+    return st.one_of(st.just([]), _pair(flag, values))
+
+
+def _grid(valid):
+    return st.one_of(st.lists(_value(valid), min_size=1, max_size=3).map(",".join),
+                     st.sampled_from(["1.6:2:3", "1:2", "1:2:0"]))
+
+
+def _argv(files):
+    common = [
+        _option("--nodes", st.sampled_from(["4", "8", "64", "abc"])),
+        _option("--rel-tol", st.sampled_from(["1e-3", "0", "-1", "abc"])),
+        _option("--config", st.sampled_from(files["config"])),
+    ]
+    energy = [
+        st.tuples(st.just([command]),
+                  *(_option(f"--{flag}", _value(_SHAPES[flag])) for flag in flags),
+                  _option("--geometry-json", st.sampled_from(files["geometry"])),
+                  _option("--evaluator", st.sampled_from(list(cli.ALL_EVALUATORS) + ["bogus"])),
+                  _option("--a-meters", st.sampled_from(["1e-6", "0"])),
+                  _option("--L-meters", st.sampled_from(["1e-2"])),
+                  _option("--dump-matrix", st.sampled_from(files["output"])),
+                  _option("--format", st.sampled_from(["text", "json"])),
+                  *common)
+        for command, flags in (("concentric", ["alpha"]), ("eccentric", ["alpha", "delta"]),
+                               ("cylplane", ["h-over-a"]))
+    ]
+    rack = st.tuples(st.just(["rackpinion"]),
+                     *(_pair(f"--{flag}", _value(valid)) for flag, valid in _RACK.items()),
+                     _option("--j-table", st.sampled_from(files["jtable"])),
+                     _option("--format", st.sampled_from(["text", "json"])))
+    sweep = st.tuples(st.just(["sweep"]),
+                      _pair("--family", st.sampled_from(["concentric", "eccentric", "cylplane", "torus"])),
+                      *(_option(f"--{flag}", _grid(valid)) for flag, valid in _SHAPES.items()),
+                      _option("--evaluators", st.sampled_from(["exact", "pfa,nntl", "exact,accelerated",
+                                                               "asymptote", "", "foo"])),
+                      _option("--workers", st.sampled_from(["-1", "0", "1", "2", "x"])),
+                      _option("--output", st.sampled_from(files["output"])),
+                      _option("--format", st.sampled_from(["csv", "json"])),
+                      *common)
+    return st.one_of(*energy, rack, sweep, st.just((["selftest"],))).map(lambda parts: sum(parts, []))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_arguments_exit_0_1_or_2(fuzz_files, data):
+    argv = data.draw(_argv(fuzz_files), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the arguments
+            code = exc.code
+            assert code == 1
+    assert code in (0, 1, 2)
