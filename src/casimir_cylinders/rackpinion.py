@@ -64,6 +64,8 @@ class CorrugationSpec:
     length: float
 
     def __post_init__(self):
+        if not all(math.isfinite(getattr(self, f)) for f in self.__dataclass_fields__):
+            raise ValueError("all parameters must be finite")
         if min(self.amplitude, self.wavelength, self.gap, self.radius, self.length) <= 0.0:
             raise ValueError("all lengths must be positive")
         if not self.amplitude < self.gap:

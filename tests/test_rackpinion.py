@@ -38,6 +38,13 @@ def test_spec_invariants():
         spec(wavelength=0.0)
 
 
+@pytest.mark.parametrize("field", ["wavelength", "gap", "displacement"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_spec_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        spec(**{field: value})
+
+
 def test_energy_pp_cosine_structure():
     c0 = spec()
     quarter = spec(displacement=0.25e-6)
