@@ -396,15 +396,7 @@ def uniform_k_ratio(n, y, alpha):
     valid for large order n; the relative error at n = 50 is below 1e-3
     for alpha > 1 and decreases with n.
     """
-    if n < 1:
-        raise ValueError("uniform expansion requires n >= 1")
-    y = float(y)
-    alpha = float(alpha)
-    t1 = debye_t(y)
-    ta = debye_t(alpha * y)
-    prefactor = ((1.0 + y * y) / (1.0 + (alpha * y) ** 2)) ** 0.25
-    correction = (1.0 - debye_u(ta) / n) / (1.0 - debye_u(t1) / n)
-    return prefactor * correction * math.exp(-n * (debye_eta(alpha * y) - debye_eta(y)))
+    return _uniform_ratio(n, y, alpha, -1.0)
 
 
 def uniform_i_ratio(n, y, alpha):
@@ -413,6 +405,11 @@ def uniform_i_ratio(n, y, alpha):
     Same structure as the K ratio with the exponent sign flipped and
     (1 + u/n) correction factors.
     """
+    return _uniform_ratio(n, y, alpha, 1.0)
+
+
+def _uniform_ratio(n, y, alpha, sign):
+    """The K (sign -1.0) or I (sign 1.0) uniform ratio; the sign flips exactly."""
     if n < 1:
         raise ValueError("uniform expansion requires n >= 1")
     y = float(y)
@@ -420,5 +417,5 @@ def uniform_i_ratio(n, y, alpha):
     t1 = debye_t(y)
     ta = debye_t(alpha * y)
     prefactor = ((1.0 + y * y) / (1.0 + (alpha * y) ** 2)) ** 0.25
-    correction = (1.0 + debye_u(ta) / n) / (1.0 + debye_u(t1) / n)
-    return prefactor * correction * math.exp(n * (debye_eta(alpha * y) - debye_eta(y)))
+    correction = (1.0 + sign * debye_u(ta) / n) / (1.0 + sign * debye_u(t1) / n)
+    return prefactor * correction * math.exp(sign * n * (debye_eta(alpha * y) - debye_eta(y)))

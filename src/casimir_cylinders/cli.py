@@ -157,8 +157,11 @@ def _merged_settings(args):
 
 def _specs(settings):
     t = TruncationSpec(rel_tol=float(settings["rel_tol"]))
+    nodes = settings["nodes"]
+    if isinstance(nodes, float) and not nodes.is_integer():  # also inf and nan
+        raise ValueError(f"nodes = {nodes} must be a whole number")
     q = QuadratureSpec(
-        node_count=int(settings["nodes"]),
+        node_count=int(nodes),
         scale=float(settings["scale"]),
         rule=QuadratureRule(settings["rule"]),
     )
@@ -229,14 +232,16 @@ def _cmd_energy(args):
     if args.dump_matrix and not isinstance(geometry, Concentric):
         _dump_matrix(geometry, t, q, args.dump_matrix)
         record["matrix_dump"] = args.dump_matrix
+    return _print_record(record, args.format)
 
-    if args.format == "json":
+
+def _print_record(record, fmt):
+    """One record on stdout: indented JSON, or one 'key: value' line per entry."""
+    if fmt == "json":
         print(json.dumps(record, indent=2, sort_keys=True))
     else:
         for key, value in record.items():
-            if isinstance(value, float):
-                value = _fmt(value)
-            print(f"{key}: {value}")
+            print(f"{key}: {_format_cell(value)}")
     return EXIT_OK
 
 
@@ -263,12 +268,7 @@ def _cmd_rackpinion(args):
         "force_ratio": rackpinion.force_ratio(spec, profile),
         "sqrt_a_over_d": math.sqrt(spec.radius / spec.gap),
     }
-    if args.format == "json":
-        print(json.dumps(record, indent=2, sort_keys=True))
-    else:
-        for key, value in record.items():
-            print(f"{key}: {_fmt(value)}")
-    return EXIT_OK
+    return _print_record(record, args.format)
 
 
 # ---------------------------------------------------------------------------

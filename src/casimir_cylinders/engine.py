@@ -31,7 +31,7 @@ large-order approximant and is kept exactly.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -233,17 +233,6 @@ def _matrix_integrand(g, t):
 # ---------------------------------------------------------------------------
 # Shared adaptive refinement harness.
 
-@dataclass
-class _Converged:
-    e_tm: float
-    e_te: float
-    n_final: int
-    m_used: int
-    nodes_final: int
-    trunc_delta: float
-    quad_delta: float
-
-
 def _next_order(n):
     """The truncation order ``_refine`` tries after n, before the cap."""
     return max(n + 8, (3 * n) // 2)
@@ -254,7 +243,11 @@ def _check_node_cap(nodes):
         raise NoConvergenceError(f"node cap {NODE_CAP} reached without quadrature convergence")
 
 
-def _refine(eval_at, t, q, n_start=_N_START):
+def _refine(eval_at, t, q, n_start=_N_START, accelerated=False):
+    """Grow the truncation order, then the node count; return the EnergyResult.
+
+    ``accelerated`` is copied to its ConvergenceReport.
+    """
     rel_tol = t.rel_tol
     # The node doubling at the end needs room for one step; without it
     # the truncation ladder below would be wasted work.
@@ -292,7 +285,6 @@ def _refine(eval_at, t, q, n_start=_N_START):
 
     # Grow the node count at the final order.
     nodes = q.node_count
-    m_used = 0
     while True:
         e_tm2, e_te2, m_used = eval_at(n, 2 * nodes)
         quad_delta = _rel_delta(e_tm2 + e_te2, e_tm + e_te)
@@ -306,35 +298,24 @@ def _refine(eval_at, t, q, n_start=_N_START):
             f"energy underflowed to 0.0 at n_max = {n} with {nodes} nodes"
         )
 
-    return _Converged(
-        e_tm=e_tm,
-        e_te=e_te,
-        n_final=n,
-        m_used=m_used,
-        nodes_final=nodes,
-        trunc_delta=trunc_delta,
-        quad_delta=quad_delta,
-    )
-
-
-def _result(conv, t, q, accelerated):
-    est = max(conv.trunc_delta, conv.quad_delta)
+    m_final = max(m_used, n)
+    est = max(trunc_delta, quad_delta)
     report = ConvergenceReport(
-        n_max_final=conv.n_final,
-        m_max_final=max(conv.m_used, conv.n_final),
-        node_count_final=conv.nodes_final,
-        rel_change_last=conv.trunc_delta,
+        n_max_final=n,
+        m_max_final=m_final,
+        node_count_final=nodes,
+        rel_change_last=trunc_delta,
         accelerated=accelerated,
     )
     return EnergyResult(
-        e_hat=conv.e_tm + conv.e_te,
-        e_tm=conv.e_tm,
-        e_te=conv.e_te,
-        truncation_used=replace(t, n_max=conv.n_final, m_max=max(conv.m_used, conv.n_final)),
-        quadrature_used=replace(q, node_count=conv.nodes_final),
+        e_hat=e_tm + e_te,
+        e_tm=e_tm,
+        e_te=e_te,
+        truncation_used=replace(t, n_max=n, m_max=m_final),
+        quadrature_used=replace(q, node_count=nodes),
         # with adapt=False a user-pinned n_max may stop short of the
         # tolerance; report that honestly instead of raising
-        converged=est <= t.rel_tol,
+        converged=est <= rel_tol,
         est_rel_error=est,
         report=report,
     )
@@ -355,8 +336,7 @@ def energy_exact(g, t=None, q=None):
         integrand = _concentric_integrand(g, t, accelerated=False)
     else:
         integrand = _matrix_integrand(g, t)
-    conv = _refine(_eval_factory(g, q, integrand), t, q)
-    return _result(conv, t, q, accelerated=False)
+    return _refine(_eval_factory(g, q, integrand), t, q)
 
 
 def energy_concentric_accelerated(g, t=None, q=None):
@@ -380,8 +360,7 @@ def energy_concentric_accelerated(g, t=None, q=None):
     eval_at = _eval_factory(
         g, q, _concentric_integrand(g, t, accelerated=True), offset=0.5 * tilde_energy(g.alpha)
     )
-    conv = _refine(eval_at, t, q, n_start=n_start)
-    return _result(conv, t, q, accelerated=True)
+    return _refine(eval_at, t, q, n_start=n_start, accelerated=True)
 
 
 def tm_te_split(result):

@@ -95,20 +95,18 @@ def validate(g):
         value = getattr(g, f.name)
         if not math.isfinite(value):
             raise GeometryError("non-finite", f"{f.name} = {value} must be finite")
-    if isinstance(g, Concentric):
-        if not g.alpha > 1.0:
-            raise GeometryError("degenerate", f"alpha = {g.alpha} must exceed 1")
+    if isinstance(g, CylinderPlane):
+        if not g.h_over_a > 1.0:
+            raise GeometryError("intersecting-plane", f"H/a = {g.h_over_a} must exceed 1")
+    elif not g.alpha > 1.0:
+        raise GeometryError("degenerate", f"alpha = {g.alpha} must exceed 1")
     elif isinstance(g, Eccentric):
-        if not g.alpha > 1.0:
-            raise GeometryError("degenerate", f"alpha = {g.alpha} must exceed 1")
         if g.delta < 0.0:
             raise GeometryError("negative-eccentricity", f"delta = {g.delta} must be >= 0")
         if not g.delta < g.alpha - 1.0:
             raise GeometryError(
                 "overlap", f"delta = {g.delta} must stay below alpha - 1 = {g.alpha - 1.0}"
             )
-    elif not g.h_over_a > 1.0:
-        raise GeometryError("intersecting-plane", f"H/a = {g.h_over_a} must exceed 1")
     return g
 
 
@@ -180,6 +178,8 @@ class TruncationSpec:
             raise ValueError("need m_max >= n_max >= 1")
         if not self.rel_tol > 0.0:
             raise ValueError("rel_tol must be positive")
+        if not math.isfinite(self.rel_tol):
+            raise ValueError(f"rel_tol = {self.rel_tol} must be finite")
 
 
 class QuadratureRule(Enum):
@@ -204,6 +204,8 @@ class QuadratureSpec:
             raise ValueError("node_count must be at least 8")
         if not self.scale > 0.0:
             raise ValueError("scale must be positive")
+        if not math.isfinite(self.scale):
+            raise ValueError(f"scale = {self.scale} must be finite")
 
 
 @dataclass(frozen=True)

@@ -104,10 +104,6 @@ class SpectralMatrix:
     def half_bandwidth(self):
         return (self.entries.shape[0] - 1) // 2
 
-    def orders(self):
-        n = self.half_bandwidth
-        return np.arange(-n, n + 1)
-
     def to_text(self):
         """Plain-text dump: header line plus one row of entries per line."""
         n = self.half_bandwidth
@@ -130,6 +126,16 @@ def concentric_log_ratios(beta, alpha, pol, n_max):
     return log_r if pol is None else log_r[_POLARIZATIONS.index(pol)]
 
 
+def _checked_beta(beta, g, cls, type_message):
+    """The argument checks shared by the single-frequency builders; returns float(beta)."""
+    if not isinstance(g, cls):
+        raise TypeError(type_message)
+    validate(g)
+    if beta <= 0.0:
+        raise ValueError("beta must be positive")
+    return float(beta)
+
+
 def build_concentric(beta, g, pol, n_max=32):
     """Diagonal ratios r_n(beta), n = -n_max..n_max, for concentric shells.
 
@@ -137,12 +143,8 @@ def build_concentric(beta, g, pol, n_max=32):
     in |n| (the TE n = 0 entry coincides with the TM n = 1 ratio and may
     sit below its neighbour at small beta).
     """
-    if not isinstance(g, Concentric):
-        raise TypeError("build_concentric expects a Concentric geometry")
-    validate(g)
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    log_r = concentric_log_ratios(float(beta), g.alpha, pol, n_max)
+    beta = _checked_beta(beta, g, Concentric, "build_concentric expects a Concentric geometry")
+    log_r = concentric_log_ratios(beta, g.alpha, pol, n_max)
     folded = np.concatenate([log_r[::-1], log_r[1:]])
     return np.exp(folded)
 
@@ -350,12 +352,8 @@ def build_eccentric(beta, g, pol, t=None):
     m = n_max + ceil(4 beta delta) and doubles until the |m| = m_cut terms
     contribute less than t.rel_tol of every entry, capped at t.m_max.
     """
-    if not isinstance(g, Eccentric):
-        raise TypeError("build_eccentric expects an Eccentric geometry")
-    validate(g)
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    return _spectral_matrix(float(beta), g, pol, t or TruncationSpec(n_max=16))
+    beta = _checked_beta(beta, g, Eccentric, "build_eccentric expects an Eccentric geometry")
+    return _spectral_matrix(beta, g, pol, t or TruncationSpec(n_max=16))
 
 
 def build_cylinder_plane(beta, g, pol, t=None):
@@ -364,15 +362,11 @@ def build_cylinder_plane(beta, g, pol, t=None):
     A_np = sqrt(d_n d_p) K_{n+p}(2 beta H/a); for TE the explicit minus
     sign and the negative K'_n cancel, so all entries are positive.
     """
-    if not isinstance(g, CylinderPlane):
-        raise TypeError("build_cylinder_plane expects a CylinderPlane geometry")
-    validate(g)
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    return _spectral_matrix(float(beta), g, pol, t or TruncationSpec(n_max=16))
+    beta = _checked_beta(beta, g, CylinderPlane, "build_cylinder_plane expects a CylinderPlane geometry")
+    return _spectral_matrix(beta, g, pol, t or TruncationSpec(n_max=16))
 
 
-def addition_theorem_check(x, h, n, p, pol, m_max=None):
+def addition_theorem_check(x, h, n, p, pol):
     """Both sides of the large-x reduction of the inner sum.
 
     lhs = sum_m (K_m(x+h)/I_m(x+h)) I_{n-m}(x) I_{p-m}(x)  (primed for TE)
@@ -384,7 +378,7 @@ def addition_theorem_check(x, h, n, p, pol, m_max=None):
     """
     if x <= 0.0 or h <= 0.0:
         raise ValueError("x and h must be positive")
-    m_cut = m_max or max(64, math.ceil(4.0 * x)) + abs(n) + abs(p)
+    m_cut = max(64, math.ceil(4.0 * x)) + abs(n) + abs(p)
     while True:
         log_c = -_log_diag_pair(x + h, m_cut)[_POLARIZATIONS.index(pol)]
         log_i = log_i_ladder(x, m_cut + max(abs(n), abs(p)))
@@ -396,7 +390,7 @@ def addition_theorem_check(x, h, n, p, pol, m_max=None):
         )
         peak = terms.max()
         total = peak + math.log(np.exp(terms - peak).sum())
-        if m_max is not None or max(terms[0], terms[-1]) - total < math.log(1e-14):
+        if max(terms[0], terms[-1]) - total < math.log(1e-14):
             break
         m_cut *= 2
         if m_cut > 100_000:

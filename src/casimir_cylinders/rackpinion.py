@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 
+_NODES_PER_PANEL = 32  # Gauss-Legendre nodes on each panel of the theta integral
+
+
 class ValidityWarning(UserWarning):
     """Inputs are outside the regime where the proximity estimate holds."""
 
@@ -123,12 +126,14 @@ def energy_pp(c, profile=None):
     return HBAR_C * c.amplitude ** 2 / c.gap ** 5 * cosine * float(profile(c.gap / c.wavelength))
 
 
-def _theta_integral(c, profile, nodes_per_panel=32):
+def _theta_integral(c, profile):
     """integral(0, 2pi) J(d(theta)/lambda) / d(theta)^5 dtheta.
 
     The integrand spikes at theta = 0 (width ~ sqrt(2 d/a) when d << a),
-    so the quarter-circle is covered by geometrically growing panels
-    anchored at the spike and mirrored by symmetry.
+    so the half-circle is covered by geometrically growing panels of
+    ``_NODES_PER_PANEL`` nodes anchored at the spike and mirrored by
+    symmetry.  1 - cos theta is taken as 2 sin^2(theta/2), which does not
+    cancel inside the spike.
     """
     width = math.sqrt(2.0 * c.gap / c.radius)
     if not width > 0.0:  # the panels below would never reach pi
@@ -138,17 +143,17 @@ def _theta_integral(c, profile, nodes_per_panel=32):
     while edges[-1] < math.pi:
         edges.append(min(edges[-1] + step, math.pi))
         step *= 2.0
-    u, w = gauss_legendre_01(nodes_per_panel)
+    u, w = gauss_legendre_01(_NODES_PER_PANEL)
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         theta = a + (b - a) * u
-        d_theta = c.gap + c.radius * (1.0 - np.cos(theta))
+        d_theta = c.gap + c.radius * (2.0 * np.sin(0.5 * theta) ** 2)
         values = profile(d_theta / c.wavelength) / d_theta ** 5
         total += (b - a) * float(np.dot(w, values))
     return 2.0 * total  # theta and 2pi - theta contribute equally
 
 
-def energy_plane_rack(c, profile=None, nodes_per_panel=32):
+def energy_plane_rack(c, profile=None):
     """Interaction energy of a pinion against a flat corrugated rack (J)."""
     profile = profile or ProfileJ.constant()
     cosine = math.cos(2.0 * math.pi * c.displacement / c.wavelength)
@@ -158,7 +163,7 @@ def energy_plane_rack(c, profile=None, nodes_per_panel=32):
         * cosine
         * c.length
         * c.radius
-        * _theta_integral(c, profile, nodes_per_panel)
+        * _theta_integral(c, profile)
     )
 
 
@@ -177,7 +182,7 @@ def energy_cyl_rack(c, profile=None):
     return 2.0 * math.pi * c.radius * c.length * energy_pp(c, profile)
 
 
-def force_ratio(c, profile=None, nodes_per_panel=32):
+def force_ratio(c, profile=None):
     """Lateral-force enhancement of the cylindrical rack over the plane one.
 
     The common cosine differentiates identically, so the ratio reduces to
@@ -189,4 +194,4 @@ def force_ratio(c, profile=None, nodes_per_panel=32):
     """
     profile = profile or ProfileJ.constant()
     numerator = 2.0 * math.pi * float(profile(c.gap / c.wavelength)) / c.gap ** 5
-    return numerator / _theta_integral(c, profile, nodes_per_panel)
+    return numerator / _theta_integral(c, profile)

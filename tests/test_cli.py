@@ -299,6 +299,12 @@ _RACKPINION = ["rackpinion", "--amplitude", "1e-8", "--wavelength", "1e-6", "--d
     (["sweep", "--family", "concentric", "--alpha", "1.3", "--config", "{tmp}/c.json"],
      {"c.json": '{"nodes": null}'}),
     (_RACKPINION + ["--j-table", "{tmp}/j.txt"], {"j.txt": "0.5\n1.0\n2.0\n"}),
+    (["concentric", "--alpha", "2", "--config", "{tmp}/c.json"], {"c.json": '{"nodes": 1e400}'}),
+    (["concentric", "--alpha", "2", "--config", "{tmp}/c.json"], {"c.json": '{"nodes": 64.9}'}),
+    (["concentric", "--alpha", "2", "--rel-tol", "inf"], {}),
+    (["concentric", "--alpha", "2", "--scale", "inf"], {}),
+    (["sweep", "--family", "concentric", "--alpha", "1.3", "--scale", "inf"], {}),
+    (["concentric", "--alpha", "2", "--config", "{tmp}/c.json"], {"c.json": '{"rel_tol": 1e400}'}),
 ])
 def test_malformed_input_is_a_named_usage_error(tmp_path, capsys, argv, files):
     for name, text in files.items():
@@ -307,6 +313,15 @@ def test_malformed_input_is_a_named_usage_error(tmp_path, capsys, argv, files):
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("nodes", ["64", "64.0", '"64"'])
+def test_config_nodes_may_be_any_whole_number(tmp_path, capsys, nodes):
+    path = tmp_path / "c.json"
+    path.write_text(f'{{"nodes": {nodes}}}')
+    from_config = run(capsys, "concentric", "--alpha", "2", "--config", str(path))
+    assert from_config == run(capsys, "concentric", "--alpha", "2", "--nodes", "64")
+    assert from_config[0] == 0
 
 
 def test_missing_geometry_field_keeps_its_message(tmp_path, capsys):

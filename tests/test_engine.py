@@ -53,6 +53,21 @@ def test_exact_energy_is_negative_with_consistent_split():
     assert r.converged and r.est_rel_error >= 0.0
 
 
+@pytest.mark.parametrize("solve, g", [
+    (energy_exact, Concentric(1.5)),
+    (energy_exact, CylinderPlane(2.0)),
+    (energy_concentric_accelerated, Concentric(1.1)),
+])
+def test_result_record_agrees_with_its_report(solve, g):
+    r = solve(g)
+    report = r.report
+    assert r.e_hat == r.e_tm + r.e_te
+    assert r.truncation_used.n_max == report.n_max_final <= report.m_max_final == r.truncation_used.m_max
+    assert r.quadrature_used.node_count == report.node_count_final
+    assert report.rel_change_last <= r.est_rel_error <= r.truncation_used.rel_tol
+    assert r.converged and report.accelerated == (solve is energy_concentric_accelerated)
+
+
 def test_exact_against_independent_scipy_oracle():
     # scipy's iv/kv implementation + QUADPACK adaptive integration share
     # nothing with the production ladders and mapped Gauss grid
@@ -146,7 +161,7 @@ def test_acceleration_equivalence(alpha):
     exact = energy_exact(Concentric(alpha))
     accel = energy_concentric_accelerated(Concentric(alpha))
     assert accel.e_hat == pytest.approx(exact.e_hat, rel=1e-3)
-    assert accel.report.accelerated
+    assert accel.report.accelerated and not exact.report.accelerated
 
 
 def test_accelerated_needs_fewer_terms_at_1_05():

@@ -115,6 +115,9 @@ def test_truncation_spec_invariants():
         TruncationSpec(n_max=32, m_max=16)
     with pytest.raises(ValueError):
         TruncationSpec(rel_tol=0.0)
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="rel_tol"):
+            TruncationSpec(rel_tol=value)
     spec = TruncationSpec(n_max=8, m_max=8)
     assert spec.m_max >= spec.n_max
 
@@ -124,3 +127,6 @@ def test_quadrature_spec_invariants():
         QuadratureSpec(node_count=4)
     with pytest.raises(ValueError):
         QuadratureSpec(scale=-1.0)
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="scale"):
+            QuadratureSpec(scale=value)

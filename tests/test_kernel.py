@@ -8,6 +8,7 @@ from casimir_cylinders.geometry import (
     Concentric,
     CylinderPlane,
     Eccentric,
+    GeometryError,
     Polarization,
     TruncationSpec,
 )
@@ -23,6 +24,26 @@ TE = Polarization.TE
 R_TM_0 = 0.15024274558258427
 # (I_0(1)/K_0(1)) * K_0(4): cylinder-plane TM (0,0) entry at beta = 1, H/a = 2.
 A_CP_00 = 0.03355834914976082
+
+
+@pytest.mark.parametrize("build, valid, invalid, message", [
+    (kernel.build_concentric, Concentric(2.0), Concentric(0.5),
+     "build_concentric expects a Concentric geometry"),
+    (kernel.build_eccentric, Eccentric(2.0, 0.5), Eccentric(1.5, 0.6),
+     "build_eccentric expects an Eccentric geometry"),
+    (kernel.build_cylinder_plane, CylinderPlane(2.0), CylinderPlane(0.5),
+     "build_cylinder_plane expects a CylinderPlane geometry"),
+])
+def test_builders_check_type_then_shape_then_beta(build, valid, invalid, message):
+    wrong = Eccentric(2.0, 0.5) if isinstance(valid, CylinderPlane) else CylinderPlane(2.0)
+    with pytest.raises(TypeError) as err:
+        build(-1.0, wrong, TM)
+    assert str(err.value) == message
+    with pytest.raises(GeometryError):
+        build(-1.0, invalid, TM)
+    for beta in (0.0, -1.0):
+        with pytest.raises(ValueError, match="beta must be positive"):
+            build(beta, valid, TM)
 
 
 def test_concentric_ratio_example():

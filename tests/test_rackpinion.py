@@ -81,6 +81,15 @@ def test_plane_rack_matches_scipy_oracle():
     )
 
 
+@pytest.mark.parametrize("radius", [1e6, 1e8, 1e10])  # d/a = 1e-12, 1e-14, 1e-16
+def test_force_ratio_reaches_the_near_contact_limit(radius):
+    # d(theta) - d = a (1 - cos theta) must not cancel inside the spike,
+    # whose width sqrt(2 d/a) falls to 1.4e-8 here
+    c = spec(radius=radius)
+    limit = 256.0 / (35.0 * math.sqrt(2.0))
+    assert force_ratio(c, J_CONST) / math.sqrt(c.radius / c.gap) == pytest.approx(limit, rel=1e-9)
+
+
 def test_plane_rack_zero_at_quarter_wavelength():
     c = spec(displacement=0.25e-6)
     assert abs(energy_plane_rack(c, J_CONST)) <= 1e-15 * abs(energy_plane_rack(spec(), J_CONST))
