@@ -32,7 +32,19 @@ Evaluation strategy:
 
 Derivatives use I'_n = (I_{n-1} + I_{n+1})/2 and
 K'_n = -(K_{n-1} + K_{n+1})/2; only the (positive) magnitude of K' is
-stored, its sign being constant.
+stored, its sign being constant.  ``log_di_ladder`` and ``log_dk_ladder``
+add neighbouring ladder entries in log space.
+
+``log_diag_pair`` gives the kernels' diagonal factors d_n = I_n/K_n (TM)
+and I'_n/|K'_n| (TE) in one pass per argument: one K_0/K_1 seed serves
+both ratio recurrences, log d_n = log(I_0/K_0) - sum_{k<n} log(rho_k sigma_k)
+takes one ``log`` and one ``cumsum``, and the ratios themselves give
+
+    I'_n/I_n = (rho_{n-1} + 1/rho_n)/2,   |K'_n|/K_n = (1/sigma_{n-1} + sigma_n)/2,
+
+(1/rho_0 and sigma_0 at n = 0), so TE adds one ``log`` of a quotient of
+positive sums to TM.  Below ``_SMALL_ARGUMENT`` it takes the log-space
+route from the small-argument ladders instead.
 
 The module also provides the large-order uniform (Debye) expansion
 machinery: the phase function eta, the first correction polynomial u(t)
@@ -60,6 +72,7 @@ __all__ = [
     "log_k_ladder",
     "log_di_ladder",
     "log_dk_ladder",
+    "log_diag_pair",
     "debye_eta",
     "debye_u",
     "debye_t",
@@ -168,23 +181,6 @@ def _i_small(x, n_max):
     return out
 
 
-def _i_recurrence(x, n_max):
-    """Downward ratios rho_k = I_k/I_{k+1} = 2(k+1)/x + 1/rho_{k+1} from the CF seed;
-    log I_0 from the Wronskian with rho_0."""
-    rho = np.multiply.outer(np.arange(1.0, n_max + 1), 2.0 / x)
-    if n_max >= 1:
-        rho[-1] = _i_ratio_cf(n_max - 1, x)
-        for k in range(n_max - 2, -1, -1):
-            rho[k] += 1.0 / rho[k + 1]
-    k0, k1 = _k01_scaled(x)
-    out = np.empty((n_max + 1, x.size))
-    out[0] = x - np.log(x) - np.log(k1 + k0 / (rho[0] if n_max else _i_ratio_cf(0, x)))
-    np.log(rho, out=rho)
-    np.cumsum(rho, axis=0, out=rho)
-    np.subtract(out[0], rho, out=out[1:])
-    return out
-
-
 def log_i_ladder(x, n_max):
     """log I_n(x) for n = 0..n_max, shape (n_max+1,) + x.shape.
 
@@ -199,7 +195,7 @@ def log_i_ladder(x, n_max):
     n_max = int(n_max)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    out = _piecewise(np.atleast_1d(x), _SMALL_ARGUMENT, _i_small, _i_recurrence, n_max)
+    out = _piecewise(np.atleast_1d(x), _SMALL_ARGUMENT, _i_small, _i_ladder_above, n_max)
     return out[:, 0] if scalar else out
 
 
@@ -233,20 +229,52 @@ def _k01_scaled(x):
     return _piecewise(x, 1.0, _k01_t, _k01_s)
 
 
-def _k_recurrence(x, n_max):
-    """Upward ratios sigma_n = K_{n+1}/K_n = 2n/x + 1/sigma_{n-1} from K_0, K_1."""
+def _i_ratios(x, n):
+    """rho_k = I_k/I_{k+1} for k = 0..n-1, shape (n, x.size), n >= 1: the continued
+    fraction seeds rho_{n-1}, and rho_k = 2(k+1)/x + 1/rho_{k+1} runs downward."""
+    rho = np.multiply.outer(np.arange(1.0, n + 1), 2.0 / x)
+    rho[-1] = _i_ratio_cf(n - 1, x)
+    for k in range(n - 2, -1, -1):
+        rho[k] += 1.0 / rho[k + 1]
+    return rho
+
+
+def _k_ratios(x, k0, k1, n):
+    """sigma_k = K_{k+1}/K_k for k = 0..n-1, shape (n, x.size), n >= 1: sigma_0 = K_1/K_0
+    from the seed, and sigma_k = 2k/x + 1/sigma_{k-1} runs upward."""
+    sigma = np.multiply.outer(np.arange(float(n)), 2.0 / x)
+    sigma[0] = k1 / k0
+    for k in range(1, n):
+        sigma[k] += 1.0 / sigma[k - 1]
+    return sigma
+
+
+def _log_i0(x, k0, k1, rho0):
+    """log I_0 from the Wronskian I_0 K_1 + I_1 K_0 = 1/x, given rho_0 = I_0/I_1."""
+    return x - np.log(x) - np.log(k1 + k0 / rho0)
+
+
+def _cumulate(out, ratios, step):
+    """out[1:] = step(out[0], cumsum(log ratios)) down the order axis; overwrites ratios."""
+    np.log(ratios, out=ratios)
+    np.cumsum(ratios, axis=0, out=ratios)
+    step(out[0], ratios, out=out[1:])
+    return out
+
+
+def _i_ladder_above(x, n_max):
     k0, k1 = _k01_scaled(x)
-    sigma = np.multiply.outer(np.arange(float(n_max)), 2.0 / x)
-    if n_max >= 1:
-        sigma[0] = k1 / k0
-        for n in range(1, n_max):
-            sigma[n] += 1.0 / sigma[n - 1]
+    rho = _i_ratios(x, max(n_max, 1))
+    out = np.empty((n_max + 1, x.size))
+    out[0] = _log_i0(x, k0, k1, rho[0])
+    return _cumulate(out, rho[:n_max], np.subtract)
+
+
+def _k_ladder_above(x, n_max):
+    k0, k1 = _k01_scaled(x)
     out = np.empty((n_max + 1, x.size))
     out[0] = np.log(k0) - x
-    np.log(sigma, out=sigma)
-    np.cumsum(sigma, axis=0, out=sigma)
-    np.add(out[0], sigma, out=out[1:])
-    return out
+    return _cumulate(out, _k_ratios(x, k0, k1, max(n_max, 1))[:n_max], np.add)
 
 
 def log_k_ladder(x, n_max):
@@ -262,7 +290,7 @@ def log_k_ladder(x, n_max):
     x = np.atleast_1d(x)
     if np.any(x == 0.0):
         raise ValueError("K_n diverges at x = 0")
-    out = _piecewise(x, _SMALL_ARGUMENT, _k_small, _k_recurrence, int(n_max))
+    out = _piecewise(x, _SMALL_ARGUMENT, _k_small, _k_ladder_above, int(n_max))
     return out[:, 0] if scalar else out
 
 
@@ -277,6 +305,54 @@ def _log_derivative(ladder, n_max):
     np.logaddexp(ladder[: n_max], ladder[2 : n_max + 2], out=out[1:])
     out[1:] -= math.log(2.0)
     return out
+
+
+def _diag_small(x, n_max):
+    """``log_diag_pair`` below ``_SMALL_ARGUMENT``, from the small-argument ladders."""
+    log_i, log_k = _i_small(x, n_max + 1), _k_small(x, n_max + 1)
+    tm = log_i[: n_max + 1] - log_k[: n_max + 1]
+    return np.array([tm, _log_derivative(log_i, n_max) - _log_derivative(log_k, n_max)])
+
+
+def _diag_above(x, n_max):
+    """``log_diag_pair`` from one K_0/K_1 seed and the two ratio ladders."""
+    k0, k1 = _k01_scaled(x)
+    rho = _i_ratios(x, n_max + 1)
+    sigma = _k_ratios(x, k0, k1, n_max + 1)
+    out = np.empty((2, n_max + 1, x.size))
+    tm, te = out
+    # TE over TM: (rho_{n-1} + 1/rho_n) / (1/sigma_{n-1} + sigma_n), 1/(rho_0 sigma_0) at n = 0;
+    # the TM rows hold the denominator until they are written
+    np.divide(1.0, rho, out=te)
+    te[1:] += rho[:-1]
+    tm[0] = sigma[0]
+    np.divide(1.0, sigma[:-1], out=tm[1:])
+    tm[1:] += sigma[1:]
+    te /= tm
+    np.log(te, out=te)
+    # TM: log(I_0/K_0) - sum_{k<n} log(rho_k sigma_k)
+    tm[0] = _log_i0(x, k0, k1, rho[0]) - np.log(k0) + x
+    rho *= sigma
+    _cumulate(tm, rho[:-1], np.subtract)
+    te += tm
+    return out
+
+
+def log_diag_pair(x, n_max):
+    """(TM, TE) log d_n for n = 0..n_max, shape (2, n_max+1) + x.shape.
+
+    d_n = I_n(x)/K_n(x) for TM and I'_n(x)/|K'_n(x)| for TE.  One pass per
+    argument: one K_0/K_1 seed, the I and K ratio ladders, then
+    log d_n = log(I_0/K_0) - sum_{k<n} log(rho_k sigma_k) and
+    log d_n^TE = log d_n + log[(I'_n/I_n) / (|K'_n|/K_n)], every term of
+    the ratio positive.  Below ``_SMALL_ARGUMENT`` the small-argument
+    ladders serve instead.  Requires x > 0.
+    """
+    x = _validate_argument(x)
+    if np.any(x == 0.0):
+        raise ValueError("K_n diverges at x = 0")
+    out = _piecewise(x.reshape(-1), _SMALL_ARGUMENT, _diag_small, _diag_above, int(n_max))
+    return out.reshape(out.shape[:-1] + x.shape)
 
 
 def log_di_ladder(x, n_max):

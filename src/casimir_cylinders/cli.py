@@ -145,7 +145,8 @@ def _merged_settings(args):
             raise ValueError(f"config file {args.config} must hold a JSON object")
         for key in settings:
             if key in loaded:
-                if not isinstance(loaded[key], (int, float, str)):
+                # bool is an int subclass, but true is no number of nodes or tolerance
+                if isinstance(loaded[key], bool) or not isinstance(loaded[key], (int, float, str)):
                     raise ValueError(f"config {key} must be a number or a string, not {loaded[key]!r}")
                 settings[key] = loaded[key]
     for key in settings:

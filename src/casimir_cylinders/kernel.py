@@ -21,19 +21,24 @@ Concentric shells (delta = 0) collapse to the diagonal ratios
     r_n = I_n(beta) K_n(alpha beta) / (I_n(alpha beta) K_n(beta))
 
 (primed functions for TE), and ``concentric_log_ratios`` takes both
-polarizations from one I and one K ladder at each argument; in the
-cylinder-plane limit the inner sum reduces, via the addition theorem for
-modified Bessel functions, to a single K:
+polarizations at beta and alpha beta from one pass of
+``bessel.log_diag_pair``: one K_0/K_1 seed per argument and the I and K
+ratio recurrences, whose ratios rho_n = I_n/I_{n+1} and
+sigma_n = K_{n+1}/K_n also give the TE factors through
+I'_n/I_n = (rho_{n-1} + 1/rho_n)/2 and |K'_n|/K_n = (1/sigma_{n-1} + sigma_n)/2.
+In the cylinder-plane limit the inner sum reduces, via the addition
+theorem for modified Bessel functions, to a single K:
 
     A_np = sqrt(d_n d_p) * K_{n+p}(2 beta H/a).
 
 All entries are assembled from log-magnitude ladders and exponentiated
-last.  ``matrix_log_dets`` works on chunks of frequencies: one I and one
-K ladder per argument (beta, alpha beta, delta beta or 2 beta H/a) serve
-the whole chunk and both polarizations, TE taking its derivative ladders
-from the same values.  Since A_{-n,-p} = A_np only the columns n >= 0 are
-formed, as two column-scaled half-width Gram products of the inner m-sum,
-G = U^T U and G' = U^T R U (R reflects m).  G + G' and G - G' are the
+last.  ``matrix_log_dets`` works on chunks of frequencies: one
+``log_diag_pair`` pass at beta, and per inner-sum round one at
+alpha beta and an I ladder at delta beta (cylinder-plane: one K ladder
+at 2 beta H/a), serve the whole chunk and both polarizations.  Since
+A_{-n,-p} = A_np only the columns n >= 0 are formed, as two
+column-scaled half-width Gram products of the inner m-sum, G = U^T U
+and G' = U^T R U (R reflects m).  G + G' and G - G' are the
 even and odd parity blocks of the matrix, and ln det(1 - A) is the sum of
 their log-determinants from one batched Cholesky each; a failed Cholesky
 is a NonContractiveError.  The single-frequency builders unfold the same
@@ -46,8 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import (  # noqa: F401 -- perfbench/tracer.py looks up the derivative ladders here
-    _log_derivative,
     log_di_ladder,
+    log_diag_pair,
     log_dk_ladder,
     log_i_ladder,
     log_k_ladder,
@@ -117,12 +122,15 @@ def concentric_log_ratios(beta, alpha, pol, n_max):
     """log r_n for n = 0..n_max at a single beta (or an array of betas).
 
     r_n = d_n(beta) / d_n(alpha beta), d_n the diagonal factor of
-    ``_log_diag_pair``.  pol=None gives both polarizations from the same
-    four ladders, shape (2, n_max + 1) + beta.shape in (TM, TE) order.
+    ``bessel.log_diag_pair``, taken in one pass over beta and alpha beta
+    together.  pol=None gives both polarizations, shape
+    (2, n_max + 1) + beta.shape in (TM, TE) order.
     """
     betas = np.asarray(beta, dtype=float)
-    log_r = _log_diag_pair(betas, n_max)
-    log_r -= _log_diag_pair(alpha * betas, n_max)
+    log_d = log_diag_pair(np.concatenate([betas.ravel(), alpha * betas.ravel()]), n_max)
+    log_r = log_d[..., : betas.size]
+    log_r -= log_d[..., betas.size :]
+    log_r = log_r.reshape(log_r.shape[:-1] + betas.shape)
     return log_r if pol is None else log_r[_POLARIZATIONS.index(pol)]
 
 
@@ -147,21 +155,6 @@ def build_concentric(beta, g, pol, n_max=32):
     log_r = concentric_log_ratios(beta, g.alpha, pol, n_max)
     folded = np.concatenate([log_r[::-1], log_r[1:]])
     return np.exp(folded)
-
-
-def _log_diag_pair(x, n_max):
-    """(TM, TE) log d_n at argument(s) x, n = 0..n_max, from one I and one K ladder.
-
-    d_n = |I_n/K_n| (TM) or |I'_n/K'_n| (TE).  Shape (2, n_max + 1) +
-    x.shape; TE takes I'_n, K'_n from the same ladders through
-    ``_log_derivative``.
-    """
-    log_i = log_i_ladder(x, n_max + 1)
-    log_k = log_k_ladder(x, n_max + 1)
-    out = np.stack([log_i[: n_max + 1], _log_derivative(log_i, n_max)])
-    out[0] -= log_k[: n_max + 1]
-    out[1] -= _log_derivative(log_k, n_max)
-    return out
 
 
 def _inner_grams(half_c, log_bridge, m_cut, n):
@@ -213,13 +206,13 @@ def _eccentric_grams(betas, g, t, pols):
     """
     n, npol = t.n_max, len(pols)
     x_sum, x_bridge = g.alpha * betas, g.delta * betas
-    half_d = 0.5 * _log_diag_pair(betas, n)[list(pols)]  # (npol, n+1, nb)
+    half_d = 0.5 * log_diag_pair(betas, n)[list(pols)]  # (npol, n+1, nb)
     m_cut = np.repeat(np.minimum(n + np.ceil(4.0 * x_bridge).astype(int), t.m_max), npol)
     pending = np.arange(m_cut.size)
     while pending.size:
         rows = np.unique(pending // npol)
         top = int(m_cut[pending].max())
-        half_c = -0.5 * _log_diag_pair(x_sum[rows], top)[list(pols)]  # (npol, top+1, nr)
+        half_c = -0.5 * log_diag_pair(x_sum[rows], top)[list(pols)]  # (npol, top+1, nr)
         log_bridge = log_i_ladder(x_bridge[rows], top + n)
         group = max(1, _GRAM_ELEMENTS // ((2 * top + 1) * (n + 1)))
         retry = []
@@ -253,7 +246,7 @@ def _plane_grams(betas, g, t, pols):
     """
     n, npol = t.n_max, len(pols)
     log_k2h = log_k_ladder(2.0 * g.h_over_a * betas, 2 * n).T  # (nb, 2n+1)
-    half_d = 0.5 * _log_diag_pair(betas, n)[list(pols)]
+    half_d = 0.5 * log_diag_pair(betas, n)[list(pols)]
     q = np.arange(n + 1)
     plus, minus = q[:, None] + q[None, :], np.abs(q[:, None] - q[None, :])
     group = max(1, _GRAM_ELEMENTS // (n + 1) ** 2)
@@ -380,7 +373,7 @@ def addition_theorem_check(x, h, n, p, pol):
         raise ValueError("x and h must be positive")
     m_cut = max(64, math.ceil(4.0 * x)) + abs(n) + abs(p)
     while True:
-        log_c = -_log_diag_pair(x + h, m_cut)[_POLARIZATIONS.index(pol)]
+        log_c = -log_diag_pair(x + h, m_cut)[_POLARIZATIONS.index(pol)]
         log_i = log_i_ladder(x, m_cut + max(abs(n), abs(p)))
         m_vals = np.arange(-m_cut, m_cut + 1)
         terms = (

@@ -154,6 +154,34 @@ def addition_sum(x, h, n, p, pol, m_cut=None):
     return float(total)
 
 
+def _besselk(order, arg):
+    """mpmath's K_n.  Near order 512 at x ~ 2000 its default term budget
+    gives up; there the large-argument series converges with more terms
+    (which at moderate x would run on instead)."""
+    return mp.besselk(order, arg, maxterms=10**6) if arg > 1000 else mp.besselk(order, arg)
+
+
+def log_diag_factors(n, x):
+    """(TM, TE) log d_n(x) by direct high-precision evaluation.
+
+    d_n = I_n/K_n for TM and I'_n/|K'_n| for TE, with
+    I'_n = (I_{n-1} + I_{n+1})/2 and |K'_n| = (K_{n-1} + K_{n+1})/2.  Each
+    Bessel value is computed once per (kind, order, argument), so
+    neighbouring orders at the same argument share them.
+    """
+    x = mp.mpf(x)
+
+    def i(order):
+        return _memo_bessel(mp.besseli, abs(order), x, mp.mp.dps)
+
+    def k(order):
+        return _memo_bessel(_besselk, abs(order), x, mp.mp.dps)
+
+    tm = mp.log(i(n) / k(n))
+    te = mp.log((i(n - 1) + i(n + 1)) / (k(n - 1) + k(n + 1)))
+    return float(tm), float(te)
+
+
 def logdet_one_minus_eig(a):
     """Brute-force ln det(1 - A) from the eigenvalues of symmetric A."""
     eigenvalues = np.linalg.eigvalsh(np.asarray(a, dtype=float))

@@ -175,6 +175,23 @@ def test_ladder_seeds_against_mpmath(x):
         assert np.all(np.abs(ladder - ref) <= tol), (name, ladder - ref)
 
 
+DIAG_ORDERS = (0, 1, 24, 181, 512)
+
+
+@pytest.mark.parametrize("x", [3e-9, 2e-8, 0.6, 1.7, 40.0, 1900.0])
+def test_log_diag_pair_against_mpmath(x):
+    # the fused TM/TE pass on both sides of _SMALL_ARGUMENT and of the
+    # seed's x = 1 edge, up to the ladder argument cap
+    assert bessel._SMALL_ARGUMENT == 1e-8
+    got = bessel.log_diag_pair(np.array([x, 1.0]), max(DIAG_ORDERS))
+    scalar = bessel.log_diag_pair(x, max(DIAG_ORDERS))
+    for n in DIAG_ORDERS:
+        ref = np.array(oracles.log_diag_factors(n, x))
+        tol = 1e-14 * np.maximum(1.0, np.abs(ref))
+        assert np.all(np.abs(got[:, n, 0] - ref) <= tol), (n, got[:, n, 0] - ref)
+        assert np.all(np.abs(scalar[:, n] - ref) <= tol), (n, scalar[:, n] - ref)
+
+
 @pytest.mark.parametrize(
     "n,x",
     [(0, 1e-3), (0, 1.0), (0, 2.0), (1, 0.3), (5, 10.0), (17, 2.0), (64, 60.0),

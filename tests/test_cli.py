@@ -315,6 +315,16 @@ def test_malformed_input_is_a_named_usage_error(tmp_path, capsys, argv, files):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key", ["rel_tol", "nodes", "scale"])
+@pytest.mark.parametrize("value", ["true", "false"])
+def test_config_booleans_are_a_named_usage_error(tmp_path, capsys, key, value):
+    path = tmp_path / "c.json"
+    path.write_text(f'{{"{key}": {value}}}')
+    code, out, err = run(capsys, "concentric", "--alpha", "2", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: config {key} must be a number or a string, not {value.title()}\n"
+
+
 @pytest.mark.parametrize("nodes", ["64", "64.0", '"64"'])
 def test_config_nodes_may_be_any_whole_number(tmp_path, capsys, nodes):
     path = tmp_path / "c.json"

@@ -12,7 +12,7 @@ from casimir_cylinders.geometry import (
     Polarization,
     TruncationSpec,
 )
-from casimir_cylinders import kernel
+from casimir_cylinders import bessel, kernel
 
 import oracles
 
@@ -44,6 +44,32 @@ def test_builders_check_type_then_shape_then_beta(build, valid, invalid, message
     for beta in (0.0, -1.0):
         with pytest.raises(ValueError, match="beta must be positive"):
             build(beta, valid, TM)
+
+
+# The kernel-namespace names the benchmark tracer wraps (perfbench/tracer.py);
+# a refactor that drops one would silently blank a benchmark layer.
+TRACED_KERNEL_NAMES = (
+    "log_i_ladder",
+    "log_k_ladder",
+    "log_di_ladder",
+    "log_dk_ladder",
+    "concentric_log_ratios",
+)
+
+
+@pytest.mark.parametrize("name", TRACED_KERNEL_NAMES)
+def test_kernel_keeps_the_traced_names(name):
+    assert callable(getattr(kernel, name, None))
+
+
+def test_concentric_ratios_run_one_seed(monkeypatch):
+    # beta and alpha beta share one pass, so one K_0/K_1 quadrature seed
+    calls = []
+    seed = bessel._k01_scaled
+    monkeypatch.setattr(bessel, "_k01_scaled", lambda x: calls.append(x.size) or seed(x))
+    betas = np.geomspace(1e-3, 300.0, 64)
+    kernel.concentric_log_ratios(betas, 1.5, None, 181)
+    assert calls == [2 * betas.size]
 
 
 def test_concentric_ratio_example():
