@@ -4,24 +4,27 @@ Every evaluator computes the dimensionless energy
 
     e_hat = integral(0, inf) dbeta  beta [ln det(1 - A_TE) + ln det(1 - A_TM)]
 
-through one path for all geometries.  A per-geometry integrand returns
-the TM and TE log-determinant sums at a batch of frequencies (for the
-dense eccentric and cylinder-plane matrices ``kernel.matrix_log_dets``
-assembles and factors the whole batch); one quadrature step clips the
-frequencies at ``_beta_limit`` and applies the transformed Gauss (or
-adaptive-panel) rule; and ``_refine`` grows the matrix half-bandwidth
-and the node count until the result is stable to the requested
-tolerance.  Resource caps turn a runaway refinement into
-NoConvergenceError instead of a silent bad number.
+through one path for all geometries.  A per-geometry evaluation returns
+the TM and TE log-determinant sums at a batch of frequencies for every
+truncation order up to the one it ran at, and one cache
+(``_cached_integrand``) keeps the last evaluation, so that it answers
+every truncation order ``_refine`` asks for on the same frequencies.
+One quadrature step clips the frequencies at ``_beta_limit`` and
+applies the transformed Gauss (or adaptive-panel) rule; and ``_refine``
+grows the matrix half-bandwidth and the node count until the result is
+stable to the requested tolerance.  Resource caps turn a runaway
+refinement into NoConvergenceError instead of a silent bad number.
 
-For concentric shells the matrices are diagonal and the determinant is a
-plain sum over azimuthal index n: one ``kernel.concentric_log_ratios``
-call per evaluation gives the TM and TE terms from four shared ladders,
-and the integrand keeps their cumulative sums over n, so that one
-evaluation answers every truncation order ``_refine`` asks for up to the
-order it computed.  That sum converges painfully slowly as alpha -> 1,
-so ``energy_concentric_accelerated`` subtracts, inside every n >= 1
-term of both polarizations, the leading large-order approximant
+For the dense eccentric and cylinder-plane matrices
+``kernel.matrix_log_dets`` assembles and factors the whole batch once
+and reads every lower order off the leading minors.  For concentric
+shells the matrices are diagonal and the determinant is a plain sum over
+azimuthal index n: one ``kernel.concentric_log_ratios`` call per
+evaluation gives the TM and TE terms from four shared ladders, and their
+cumulative sums over n give every lower order.  That sum converges
+painfully slowly as alpha -> 1, so ``energy_concentric_accelerated``
+subtracts, inside every n >= 1 term of both polarizations, the leading
+large-order approximant
 
     r_n(beta) ~ q_n(beta) = exp(-2 (alpha - 1) sqrt(n^2 + beta^2)),
 
@@ -141,6 +144,43 @@ def _eval_factory(g, q, integrand, offset=0.0):
 
 
 # ---------------------------------------------------------------------------
+# One cache of per-order sums for every geometry.
+
+def _predicted_order(g, t):
+    """Order at which the exp(-2 gap n) envelope of the terms falls to rel_tol."""
+    return math.ceil(-math.log(t.rel_tol) / gap(g))
+
+
+def _cached_integrand(evaluate, n_max, first_top, miss_top):
+    """One integrand that answers every truncation order from its last evaluation.
+
+    ``evaluate(betas, top)`` returns the cumulative TM and TE sums over
+    the orders 0..top, shape (len(betas), 2, top+1), and its inner-sum
+    cutoff; a request at n_top <= top on the same frequencies reads entry
+    n_top.  The first evaluation runs at ``first_top``, a later miss on
+    the same frequencies at ``miss_top(n_top)``, and new frequencies (the
+    node doubling at the final order) at exactly n_top; none runs past
+    n_max or below n_top.
+    """
+    seen, cum, m_used = None, None, 0
+
+    def integrand(betas, n_top):
+        nonlocal seen, cum, m_used
+        if cum is None:
+            top = first_top
+        elif not np.array_equal(betas, seen):
+            top = n_top
+        elif n_top < cum.shape[2]:
+            return cum[:, :, n_top], m_used
+        else:
+            top = miss_top(n_top)
+        seen, (cum, m_used) = betas, evaluate(betas, max(n_top, min(n_max, top)))
+        return cum[:, :, n_top], m_used
+
+    return integrand
+
+
+# ---------------------------------------------------------------------------
 # Concentric shells: diagonal kernel, vectorized over the frequency grid.
 
 def _concentric_integrand(g, t, accelerated):
@@ -149,17 +189,13 @@ def _concentric_integrand(g, t, accelerated):
     In the accelerated variant every n >= 1 term of either polarization
     has ln(1 - q_n) subtracted, q_n being the resummed uniform approximant.
 
-    A term at order n does not depend on the truncation, so one evaluation
-    at a top order keeps the cumulative folded sums, shape (nb, 2, top+1),
-    and answers every n_top <= top on the same frequencies.  The first
-    evaluation runs where the exp(-2 gap n) envelope of the terms has
-    fallen to rel_tol; a later miss on the same frequencies runs one
-    refinement step ahead; new frequencies (the node doubling at the final
-    order) run at exactly n_top.
+    A term at order n does not depend on the truncation, so the cumulative
+    folded sums of one evaluation serve every lower order.  The first
+    evaluation runs at the predicted order, where the exp(-2 gap n)
+    envelope of the terms has fallen to rel_tol, and a miss runs one
+    refinement step ahead.
     """
     alpha = g.alpha
-    predicted = math.ceil(-math.log(t.rel_tol) / gap(g))
-    seen, cum = None, None
 
     def evaluate(betas, top):
         terms = _log1mexp(kernel.concentric_log_ratios(betas, alpha, None, top))  # (2, top + 1, nb)
@@ -167,22 +203,9 @@ def _concentric_integrand(g, t, accelerated):
             n = np.arange(1, top + 1)[:, None]
             terms[:, 1:] -= _log1mexp(-2.0 * (alpha - 1.0) * np.sqrt(n * n + betas[None, :] ** 2))
         terms[:, 1:] *= 2.0
-        return np.cumsum(terms, axis=1, out=terms).transpose(2, 0, 1)
+        return np.cumsum(terms, axis=1, out=terms).transpose(2, 0, 1), 0
 
-    def integrand(betas, n_top):
-        nonlocal seen, cum
-        if cum is None:
-            top = predicted
-        elif not np.array_equal(betas, seen):
-            top = n_top
-        elif n_top < cum.shape[2]:
-            return cum[:, :, n_top], 0
-        else:
-            top = _next_order(n_top)
-        seen, cum = betas, evaluate(betas, max(n_top, min(t.n_max, top)))
-        return cum[:, :, n_top], 0
-
-    return integrand
+    return _cached_integrand(evaluate, t.n_max, _predicted_order(g, t), _next_order)
 
 
 def tilde_energy(alpha):
@@ -221,13 +244,44 @@ def tilde_energy(alpha):
 # ---------------------------------------------------------------------------
 # Matrix geometries: eccentric shells and cylinder-plane.
 
+def _first_rung(predicted, n_max):
+    """The refinement order nearest ``predicted`` in log, at least the second (24).
+
+    The cap n_max counts as an order only when the prediction reaches it.
+    """
+    rungs = [_next_order(_N_START)]
+    while _next_order(rungs[-1]) < n_max:
+        rungs.append(_next_order(rungs[-1]))
+    if predicted >= n_max:
+        rungs.append(n_max)
+    return min(rungs, key=lambda n: abs(math.log(n / predicted)))
+
+
 def _matrix_integrand(g, t):
-    """ln det(1 - A) per polarization from the frequency-batched assembler."""
+    """ln det(1 - A) per polarization at every order up to the one assembled.
 
-    def integrand(betas, n_top):
-        return kernel.matrix_log_dets(betas, g, replace(t, n_max=n_top))
+    One ``kernel.matrix_log_dets`` call gives the whole truncation ladder
+    up to its order from the leading minors.  With adapt the first call
+    runs at the ladder order nearest the predicted one, and a shape whose
+    prediction exceeds twice n_max fails before any assembly (converging
+    shapes end at 0.87-1.26 times their prediction); without, it runs at
+    n_max.  A miss and new frequencies run at exactly n_top, so the final
+    node doubling assembles at the final order and its inner-sum cutoff.
+    """
+    predicted = _predicted_order(g, t)
+    if not t.adapt:
+        first_top = t.n_max
+    elif predicted > 2 * t.n_max:
+        raise NoConvergenceError(
+            f"predicted truncation order {predicted} exceeds twice the cap n_max = {t.n_max}"
+        )
+    else:
+        first_top = _first_rung(predicted, t.n_max)
 
-    return integrand
+    def evaluate(betas, top):
+        return kernel.matrix_log_dets(betas, g, replace(t, n_max=top))
+
+    return _cached_integrand(evaluate, t.n_max, first_top, lambda n_top: n_top)
 
 
 # ---------------------------------------------------------------------------

@@ -33,22 +33,28 @@ theorem for modified Bessel functions, to a single K:
 
 All entries are assembled from log-magnitude ladders and exponentiated
 last.  ``matrix_log_dets`` works on chunks of frequencies: one
-``log_diag_pair`` pass at beta, and per inner-sum round one at
-alpha beta and an I ladder at delta beta (cylinder-plane: one K ladder
-at 2 beta H/a), serve the whole chunk and both polarizations.  Since
+``log_diag_pair`` pass at beta, and one at alpha beta with an I ladder
+at delta beta, taken at twice the first inner-sum cutoff and retaken
+only for a cutoff beyond that (cylinder-plane: one K ladder at
+2 beta H/a), serve the whole chunk and both polarizations.  Since
 A_{-n,-p} = A_np only the columns n >= 0 are formed, as two
 column-scaled half-width Gram products of the inner m-sum, G = U^T U
-and G' = U^T R U (R reflects m).  G + G' and G - G' are the
-even and odd parity blocks of the matrix, and ln det(1 - A) is the sum of
-their log-determinants from one batched Cholesky each; a failed Cholesky
-is a NonContractiveError.  The single-frequency builders unfold the same
-factors into the full (2N+1)^2 matrix.
+and G' = U^T R U (R reflects m).  When an item's cutoff doubles, only
+the shell of new rows is added to the G and G' it already has.
+G + G' and G - G' are the even and odd parity blocks of the matrix,
+and one batched Cholesky factors both; a failed Cholesky is a
+NonContractiveError.  The factor of a block at order N holds the factor
+of every leading minor, so the cumulative sums of 2 log diag L give
+ln det(1 - A) at every order n <= N from one assembly.  The
+single-frequency builders unfold the same factors into the full
+(2N+1)^2 matrix.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bessel import (  # noqa: F401 -- perfbench/tracer.py looks up the derivative ladders here
     log_di_ladder,
@@ -82,6 +88,8 @@ _POLARIZATIONS = (Polarization.TM, Polarization.TE)  # column order of every (TM
 _CHUNK = 32  # frequencies assembled together by matrix_log_dets
 _GRAM_ELEMENTS = 1 << 15  # elements per batched Gram array; bounds the memory of one group
 _SQRT_HALF = math.sqrt(0.5)
+_NEGLIGIBLE = 1e-150  # share of a column's peak below which a summand is dropped
+_LOG_NEGLIGIBLE = math.log(_NEGLIGIBLE)
 
 
 class NonContractiveError(RuntimeError):
@@ -157,41 +165,67 @@ def build_concentric(beta, g, pol, n_max=32):
     return np.exp(folded)
 
 
-def _inner_grams(half_c, log_bridge, m_cut, n):
-    """Column-scaled half-width Grams of the inner m-sum for a batch of items.
+def _add_shell(acc, half_c, log_bridge, lo, hi, n):
+    """Add the inner-sum rows lo < |m| <= hi to column-scaled half-width Grams.
 
     Item k has the exponent rows 0.5 log c_|m| + log I_|m-q|(beta delta)
-    for |m| <= m_cut[k] and columns q = 0..n (half_c: (K, M+1),
-    log_bridge: (K, M+n+1), M = max(m_cut)).  Returns the log column
-    scales (K, n+1), G = U^T U and G' = U^T R U (K, n+1, n+1), R
-    reflecting m, and each item's largest share of an entry of the full
-    (2n+1)^2 matrix carried by its two edge rows m = +-m_cut.
+    for columns q = 0..n (half_c: (K, L), log_bridge: (K, L+n), L > max
+    hi).  ``acc`` holds the log column maxima (K, n+1) and G = U^T U and
+    G' = U^T R U (K, n+1, n+1), R reflecting m, in units of those maxima;
+    it is updated in place, so that it equals a rebuild over |m| <= hi.
+    Returns each item's largest share of an entry of the full (2n+1)^2
+    matrix carried by its two edge rows m = +-hi.
     """
-    top = int(m_cut.max())
-    m = np.arange(-top, top + 1)
-    expo = log_bridge[:, np.abs(m[:, None] - np.arange(n + 1))]
-    expo += half_c[:, np.abs(m), None]
-    expo[np.abs(m) > m_cut[:, None]] = -np.inf
-    col_max = expo.max(axis=1)
-    col_max[~np.isfinite(col_max)] = 0.0
-    expo -= col_max[:, None, :]
-    u = np.exp(expo, out=expo)
+    col_max, gram, gram_r = acc
+    top, inner = int(hi.max()), int(lo.min()) + 1
+    # window[k, m + top, q] = log I_|m-q| for m = -top..top (a Toeplitz view)
+    ext = np.concatenate([log_bridge[:, top + n : 0 : -1], log_bridge[:, : top + 1]], axis=1)
+    window = sliding_window_view(ext, n + 1, axis=1)[:, :, ::-1]
+    # rows m = -neg_inner..-top (neg rows), then m = inner..top
+    neg_inner = max(inner, 1)
+    neg = top - neg_inner + 1
+    abs_m = np.concatenate([np.arange(neg_inner, top + 1), np.arange(inner, top + 1)])
+    expo = np.concatenate([window[:, top - neg_inner :: -1], window[:, top + inner :]], axis=1)
+    expo += half_c[:, abs_m, None]
+    expo[(abs_m <= lo[:, None]) | (abs_m > hi[:, None])] = -np.inf
+    new_max = np.maximum(col_max, expo.max(axis=1))
+    ref = np.where(np.isfinite(new_max), new_max, 0.0)
+    shift = np.where(np.isfinite(col_max), col_max - ref, 0.0)  # <= 0
+    if shift.any():
+        rescale = np.exp(shift)
+        rescale = rescale[:, :, None] * rescale[:, None, :]
+        gram *= rescale
+        gram_r *= rescale
+    col_max[:] = new_max
+    expo -= ref[:, None, :]
     # A summand 1e150 below its column's peak adds nothing to an entry,
-    # while its subnormal products would slow the Gram products many-fold.
-    u[u < 1e-150] = 0.0
-    u_t = u.transpose(0, 2, 1)
-    gram = u_t @ u
-    gram_r = u_t @ np.ascontiguousarray(u[:, ::-1])
-    k = np.arange(m_cut.size)
-    lo, hi = u[k, top - m_cut], u[k, top + m_cut]
-    edge = lo[:, :, None] * lo[:, None, :] + hi[:, :, None] * hi[:, None, :]
-    edge_r = lo[:, :, None] * hi[:, None, :] + hi[:, :, None] * lo[:, None, :]
+    # while its subnormal products would slow the Gram products many-fold,
+    # and so would exp's underflow path: clip, then zero.
+    np.maximum(expo, 2.0 * _LOG_NEGLIGIBLE, out=expo)
+    u = np.exp(expo, out=expo)
+    u[u < _NEGLIGIBLE] = 0.0
+    gram += u.transpose(0, 2, 1) @ u
+    # G' pairs row m with row -m: sum over m > 0 of u_m u_-m^T, its
+    # transpose, and u_0 u_0^T
+    cross = u[:, neg + neg_inner - inner :].transpose(0, 2, 1) @ u[:, :neg]
+    gram_r += cross
+    gram_r += cross.transpose(0, 2, 1)
+    if inner == 0:
+        gram_r += u[:, neg, :, None] * u[:, neg, None, :]
+    k = np.arange(hi.size)
+    lo_row = u[k, np.where(hi > 0, hi - neg_inner, neg)]
+    hi_row = u[k, neg + hi - inner]
+    edge = lo_row[:, :, None] * lo_row[:, None, :]
+    edge += hi_row[:, :, None] * hi_row[:, None, :]
+    edge_r = lo_row[:, :, None] * hi_row[:, None, :]
+    edge_r = edge_r + edge_r.transpose(0, 2, 1)
+    # edge <= gram entrywise, and 0/0 = nan where both vanish: fmax skips it
+    # (G_qq >= 1, since every column has a row at its maximum).
     with np.errstate(divide="ignore", invalid="ignore"):
-        tail = np.maximum(
-            np.where(gram > 0.0, edge / gram, 0.0).max(axis=(1, 2)),
-            np.where(gram_r > 0.0, edge_r / gram_r, 0.0).max(axis=(1, 2)),
-        )
-    return col_max, gram, gram_r, tail
+        edge /= gram
+        edge_r /= gram_r
+    return np.fmax(np.fmax.reduce(edge.reshape(hi.size, -1), axis=1),
+                   np.fmax.reduce(edge_r.reshape(hi.size, -1), axis=1))
 
 
 def _eccentric_grams(betas, g, t, pols):
@@ -200,41 +234,49 @@ def _eccentric_grams(betas, g, t, pols):
     Each (beta, pol) item starts its inner sum at m = n + ceil(4 beta
     delta) (the I_{m-n}(beta delta) factors peak near |m - n| ~ beta
     delta) and doubles it until the edge rows carry at most t.rel_tol of
-    every entry, capped at t.m_max.  Each doubling round takes one I and
-    one K ladder at alpha beta and one I ladder at delta beta for all the
-    frequencies still pending.
+    every entry, capped at t.m_max.  A doubling adds only the new shell
+    of rows to the Grams the item already has.  Each group of items runs
+    all its rounds before the next group starts, so only one group's
+    Grams are held.  The ladders at alpha beta and delta beta serve every
+    group: they are taken at twice the largest first cutoff, and again at
+    twice any cutoff that outgrows them.
     """
     n, npol = t.n_max, len(pols)
     x_sum, x_bridge = g.alpha * betas, g.delta * betas
     half_d = 0.5 * log_diag_pair(betas, n)[list(pols)]  # (npol, n+1, nb)
-    m_cut = np.repeat(np.minimum(n + np.ceil(4.0 * x_bridge).astype(int), t.m_max), npol)
-    pending = np.arange(m_cut.size)
-    while pending.size:
-        rows = np.unique(pending // npol)
-        top = int(m_cut[pending].max())
-        half_c = -0.5 * log_diag_pair(x_sum[rows], top)[list(pols)]  # (npol, top+1, nr)
-        log_bridge = log_i_ladder(x_bridge[rows], top + n)
-        group = max(1, _GRAM_ELEMENTS // ((2 * top + 1) * (n + 1)))
-        retry = []
-        for s in range(0, pending.size, group):
-            items = pending[s : s + group]
-            beta_i, pol_i = items // npol, items % npol
-            r = np.searchsorted(rows, beta_i)
-            col_max, gram, gram_r, tail = _inner_grams(
-                half_c[pol_i, :, r], log_bridge[:, r].T, m_cut[items], n
-            )
-            done = (tail <= t.rel_tol) | (x_bridge[beta_i] == 0.0)
-            stuck = ~done & (m_cut[items] >= t.m_max)
+    first = np.repeat(np.minimum(n + np.ceil(4.0 * x_bridge).astype(int), t.m_max), npol)
+
+    def ladders(top):
+        c = -0.5 * log_diag_pair(x_sum, top)[list(pols)]  # (npol, top+1, nb)
+        return top, c, log_i_ladder(x_bridge, top + n).T  # (nb, top+n+1)
+
+    ladder_top, half_c, log_bridge = ladders(min(2 * int(first.max()), t.m_max))
+    group = max(1, _GRAM_ELEMENTS // ((2 * int(first.max()) + 1) * (n + 1)))
+    for s in range(0, first.size, group):
+        items = np.arange(s, min(s + group, first.size))
+        beta_i, pol_i = items // npol, items % npol
+        m_cut, lo = first[items], np.full(items.size, -1)
+        log_w, (gram, gram_r) = np.empty((items.size, n + 1)), np.empty((2, items.size, n + 1, n + 1))
+        pending = np.arange(items.size)
+        acc = (np.full((items.size, n + 1), -np.inf), np.zeros(gram.shape), np.zeros(gram.shape))
+        while pending.size:
+            b = beta_i[pending]
+            if m_cut[pending].max() > ladder_top:
+                ladder_top, half_c, log_bridge = ladders(min(2 * int(m_cut[pending].max()), t.m_max))
+            tail = _add_shell(acc, half_c[pol_i[pending], :, b], log_bridge[b], lo[pending], m_cut[pending], n)
+            done = (tail <= t.rel_tol) | (x_bridge[b] == 0.0)
+            stuck = ~done & (m_cut[pending] >= t.m_max)
             if stuck.any():
                 raise TruncationError(
                     f"inner sum still contributes {tail[stuck].max():.2e} of an entry at m_max = {t.m_max}"
                 )
-            if done.any():
-                log_w = half_d[pol_i[done], :, beta_i[done]] + col_max[done]
-                yield items[done], log_w, gram[done], gram_r[done], m_cut[items[done]]
-            retry.append(items[~done])
-        pending = np.concatenate(retry)
-        m_cut[pending] = np.minimum(2 * m_cut[pending], t.m_max)
+            finished = pending[done]
+            log_w[finished] = np.where(np.isfinite(acc[0][done]), acc[0][done], 0.0)
+            gram[finished], gram_r[finished] = acc[1][done], acc[2][done]
+            pending, acc = pending[~done], tuple(a[~done] for a in acc)
+            lo[pending] = m_cut[pending]
+            m_cut[pending] = np.minimum(2 * m_cut[pending], t.m_max)
+        yield items, log_w + half_d[pol_i, :, beta_i], gram, gram_r, m_cut
 
 
 def _plane_grams(betas, g, t, pols):
@@ -242,25 +284,31 @@ def _plane_grams(betas, g, t, pols):
 
     The inner sum is K_{|q+s|}(2 beta H/a), so G_qs = K_{q+s} and
     G'_qs = K_{|q-s|}, scaled by sqrt(K_2q K_2s) (log-convexity of K in
-    its order keeps every scaled entry <= 1).  The inner-sum cutoff is 0.
+    its order keeps every scaled entry <= 1, and G_qq = 1).  Both
+    polarizations share them.  The inner-sum cutoff is 0.
     """
     n, npol = t.n_max, len(pols)
     log_k2h = log_k_ladder(2.0 * g.h_over_a * betas, 2 * n).T  # (nb, 2n+1)
     half_d = 0.5 * log_diag_pair(betas, n)[list(pols)]
-    q = np.arange(n + 1)
-    plus, minus = q[:, None] + q[None, :], np.abs(q[:, None] - q[None, :])
-    group = max(1, _GRAM_ELEMENTS // (n + 1) ** 2)
-    for s in range(0, betas.size * npol, group):
-        items = np.arange(s, min(s + group, betas.size * npol))
-        beta_i, pol_i = items // npol, items % npol
-        log_k = log_k2h[beta_i]
-        half = 0.5 * log_k[:, 2 * q]
-        scale = half[:, :, None] + half[:, None, :]
-        gram, gram_r = log_k[:, plus], log_k[:, minus]
-        for a in (gram, gram_r):
-            a -= scale
+    half = 0.5 * log_k2h[:, :: 2]  # (nb, n+1)
+    group = max(1, _GRAM_ELEMENTS // (npol * (n + 1) ** 2))
+    for s in range(0, betas.size, group):
+        b = np.arange(s, min(s + group, betas.size))
+        log_k = log_k2h[b]
+        hankel = sliding_window_view(log_k, n + 1, axis=1)  # log K_{q+s}
+        ext = np.concatenate([log_k[:, n:0:-1], log_k[:, : n + 1]], axis=1)
+        toeplitz = sliding_window_view(ext, n + 1, axis=1)[:, ::-1]  # log K_|q-s|
+        scale = half[b, :, None] + half[b, None, :]
+        grams = []
+        for a in (hankel - scale, toeplitz - scale):
+            # entries 1e150 below the unit diagonal add nothing; see _add_shell
+            np.maximum(a, 2.0 * _LOG_NEGLIGIBLE, out=a)
             np.exp(a, out=a)
-        yield items, half_d[pol_i, :, beta_i] + half, gram, gram_r, np.zeros(items.size, dtype=int)
+            a[a < _NEGLIGIBLE] = 0.0
+            grams.append(np.repeat(a, npol, axis=0))
+        items = np.arange(s * npol, b[-1] * npol + npol)
+        beta_i, pol_i = items // npol, items % npol
+        yield items, half_d[pol_i, :, beta_i] + half[beta_i], *grams, np.zeros(items.size, dtype=int)
 
 
 def _matrix_grams(betas, g, t, pols=(0, 1)):
@@ -275,54 +323,65 @@ def _matrix_grams(betas, g, t, pols=(0, 1)):
     return grams(betas, g, t, pols)
 
 
-def _log_det_one_minus(a):
-    """ln det(1 - A) for symmetric A (..., k, k) from one batched Cholesky."""
+def _log_det_terms(m):
+    """2 log diag L of the Cholesky factor L L^T = m, m symmetric (..., k, k).
+
+    L's leading j x j block factors the leading j x j minor of m, so the
+    cumulative sum of the terms is log det of every leading minor.
+    """
     try:
-        chol = np.linalg.cholesky(np.eye(a.shape[-1]) - a)
+        chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         chol = None
     if chol is None or not np.all(np.isfinite(chol)):
         raise NonContractiveError(
             "round-trip operator is not a contraction (spectral radius >= 1)"
         )
-    return 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    return 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1))
 
 
 def _parity_log_dets(log_w, gram, gram_r):
-    """ln det(1 - A) <= 0 as the sum over the even and odd parity blocks.
+    """ln det(1 - A) <= 0 at every half-bandwidth 0..n, shape (K, n+1).
 
     In the basis e_0, (e_q +- e_{-q})/sqrt 2 the matrix splits into the
-    even block w w^T (G + G') (row and column 0 scaled by 1/sqrt 2) and
-    the odd block w w^T (G - G') on q, s >= 1.
+    even block w w^T (G + G') (row and column 0 scaled by 1/sqrt 2) on
+    q, s >= 0 and the odd block w w^T (G - G') on q, s >= 1, padded here
+    with a zero row and column 0.  The matrix at half-bandwidth j has the
+    leading minors of both blocks, so entry j sums the Cholesky terms of
+    both over q <= j.
     """
-    scale = log_w[:, :, None] + log_w[:, None, :]
-    even = gram + gram_r
-    odd = gram[:, 1:, 1:] - gram_r[:, 1:, 1:]
+    blocks = np.empty((2,) + gram.shape)
+    np.add(gram, gram_r, out=blocks[0])
+    np.subtract(gram, gram_r, out=blocks[1])
     with np.errstate(over="ignore", invalid="ignore"):
-        np.exp(scale, out=scale)
-        even *= scale
-        odd *= scale[:, 1:, 1:]
-    even[:, 0, :] *= _SQRT_HALF
-    even[:, :, 0] *= _SQRT_HALF
+        w = np.exp(log_w)  # <= 1 on a contraction, since G_qq >= 1 and A_qq < 1
+        w[:, 0] *= _SQRT_HALF
+        blocks *= w[:, :, None] * -w[:, None, :]
+    blocks[1, :, 0, :] = 0.0
+    blocks[1, :, :, 0] = 0.0
+    blocks.reshape(2, len(w), -1)[:, :, :: w.shape[1] + 1] += 1.0
+    cum = np.cumsum(_log_det_terms(blocks).sum(axis=0), axis=1)
     # det(1 - A) lies in (0, 1]; tiny positive values are roundoff.
-    return np.minimum(_log_det_one_minus(even) + _log_det_one_minus(odd), 0.0)
+    return np.minimum(cum, 0.0)
 
 
 def matrix_log_dets(betas, g, t):
-    """ln det(1 - A) for TM and TE at every frequency, shape (len(betas), 2).
+    """ln det(1 - A) for TM and TE at every frequency and every half-bandwidth.
 
-    Eccentric shells or cylinder-plane at half-bandwidth t.n_max, taken in
-    chunks of ``_CHUNK`` frequencies.  Also returns the largest inner-sum
-    cutoff used (0 for cylinder-plane).
+    Eccentric shells or cylinder-plane, assembled once at half-bandwidth
+    t.n_max in chunks of ``_CHUNK`` frequencies; entry [k, p, j] is
+    frequency k, polarization p (TM, TE) at half-bandwidth j <= t.n_max,
+    shape (len(betas), 2, t.n_max + 1), read off the leading minors.
+    Also returns the largest inner-sum cutoff used (0 for cylinder-plane).
     """
     betas = np.asarray(betas, dtype=float)
-    out = np.empty(2 * betas.size)  # (beta, pol) item order
+    out = np.empty((2 * betas.size, t.n_max + 1))  # (beta, pol) item order
     m_used = 0
     for s in range(0, betas.size, _CHUNK):
         for items, log_w, gram, gram_r, m_cut in _matrix_grams(betas[s : s + _CHUNK], g, t):
             out[2 * s + items] = _parity_log_dets(log_w, gram, gram_r)
             m_used = max(m_used, int(m_cut.max()))
-    return out.reshape(-1, 2), m_used
+    return out.reshape(betas.size, 2, -1), m_used
 
 
 def _spectral_matrix(beta, g, pol, t):
@@ -404,4 +463,4 @@ def log_det_one_minus(mat):
     """
     a = mat.entries if isinstance(mat, SpectralMatrix) else np.asarray(mat, dtype=float)
     # det(1 - A) lies in (0, 1]; tiny positive values are roundoff.
-    return min(float(_log_det_one_minus(a)), 0.0)
+    return min(float(_log_det_terms(np.eye(a.shape[-1]) - a).sum()), 0.0)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,6 +61,15 @@ def test_non_convergence_exits_2(capsys):
     code, _, err = run(capsys, "concentric", "--alpha", "1.01", "--evaluator", "exact")
     assert code == 2
     assert "no-convergence" in err
+
+
+def test_hopeless_matrix_shape_exits_2_fast(capsys):
+    # predicted order 9211 > 2 n_max: named at once instead of after the ladder
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eccentric", "--alpha", "2.0", "--delta", "0.999")
+    assert time.perf_counter() - start < 5.0
+    assert code == 2 and out == ""
+    assert err.startswith("no-convergence:") and "9211" in err
 
 
 def test_underflowing_energy_exits_2_named(capsys):

@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import replace
 
@@ -7,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from casimir_cylinders import kernel
 from casimir_cylinders.baselines import PfaOrder, pfa_bracket, pfa_concentric
+from casimir_cylinders import engine
 from casimir_cylinders.engine import (
     NoConvergenceError,
     _beta_limit,
     _concentric_integrand,
     _eval_factory,
+    _matrix_integrand,
     _refine,
     energy_concentric_accelerated,
     energy_difference,
@@ -241,6 +244,25 @@ def test_cached_orders_match_fresh_evaluations(accelerated, adapt, monkeypatch):
         assert sum(evaluations) < len(evaluations)
 
 
+def test_concentric_call_sequence_is_pinned(monkeypatch):
+    # the cache shared with the matrix family keeps the concentric policy:
+    # (frequencies, alpha, pol, order) of every concentric_log_ratios call
+    calls = []
+    ratios = kernel.concentric_log_ratios
+    monkeypatch.setattr(
+        kernel, "concentric_log_ratios", lambda *a: calls.append((a[0].size,) + a[1:]) or ratios(*a)
+    )
+    for evaluate, alpha, t, expected in (
+        (energy_exact, 1.3, None, [(116, 31), (116, 54), (231, 36)]),
+        (energy_concentric_accelerated, 1.05, None, [(116, 185), (231, 150)]),
+        (energy_exact, 1.5, TruncationSpec(n_max=60, adapt=False), [(116, 30), (116, 60), (231, 60)]),
+        (energy_concentric_accelerated, 1.1, TruncationSpec(n_max=80, adapt=False), [(116, 80), (231, 80)]),
+    ):
+        calls.clear()
+        evaluate(Concentric(alpha), t)
+        assert calls == [(size, alpha, None, order) for size, order in expected]
+
+
 @settings(max_examples=12, deadline=None)
 @given(alphas=st.floats(1.02, 2.999).flatmap(lambda lo: st.tuples(st.just(lo), st.floats(lo + 1e-3, 3.0))))
 def test_accelerated_energy_negative_and_decreasing_in_alpha(alphas):
@@ -321,11 +343,98 @@ def test_eccentric_limit_approaches_cylinder_plane_energy():
 
 
 def test_matrix_work_is_pinned():
-    # the frequency-batched assembler keeps every truncation decision:
-    # final (n_max, m_max, nodes) of the reference matrix solves
-    for g, work in ((Eccentric(2.0, 0.5), (24, 104, 256)), (CylinderPlane(2.0), (24, 24, 256))):
+    # the leading minors and the inner-sum shells keep every truncation
+    # decision: final (n_max, m_max, nodes) of the reference matrix solves
+    for g, work in (
+        (Eccentric(2.0, 0.5), (24, 104, 256)),
+        (Eccentric(1.5, 0.3), (54, 173, 256)),
+        (CylinderPlane(2.0), (24, 24, 256)),
+        (CylinderPlane(1.2), (54, 54, 256)),
+    ):
         report = energy_exact(g).report
         assert (report.n_max_final, report.m_max_final, report.node_count_final) == work
+
+
+def test_one_assembly_serves_the_truncation_ladder(monkeypatch):
+    # one assembly at the predicted order 54 answers n = 16, 24, 36, 54 on
+    # the base grid, and one more serves the node doubling
+    calls = []
+    log_dets = kernel.matrix_log_dets
+    monkeypatch.setattr(kernel, "matrix_log_dets", lambda *a: calls.append(a[2].n_max) or log_dets(*a))
+    energy_exact(Eccentric(1.5, 0.3))
+    assert calls == [54, 54]
+
+
+@pytest.mark.parametrize("adapt", [True, False])
+@pytest.mark.parametrize("g", [Eccentric(2.0, 0.6), CylinderPlane(1.2)], ids=["eccentric", "cylplane"])
+def test_matrix_minors_match_fresh_evaluations(g, adapt, monkeypatch):
+    # every order _refine asks for, read off the leading minors of a larger
+    # assembly, agrees with an assembly at exactly that order; the Gram
+    # cutoffs were chosen for the larger order, so only to rel_tol / 100
+    q = QuadratureSpec()
+    t = TruncationSpec(adapt=adapt) if adapt else TruncationSpec(n_max=40, adapt=False)
+    calls = []
+    log_dets = kernel.matrix_log_dets
+    monkeypatch.setattr(kernel, "matrix_log_dets", lambda *a: calls.append(a) or log_dets(*a))
+    cached = _eval_factory(g, q, _matrix_integrand(g, t))
+    evaluations = []  # assemblies per refinement step
+
+    def eval_at(n_top, node_count):
+        before = len(calls)
+        got = cached(n_top, node_count)
+        evaluations.append(len(calls) - before)
+        fresh_t = replace(t, n_max=n_top, adapt=False)  # assembles at exactly n_top
+        fresh = _eval_factory(g, q, _matrix_integrand(g, fresh_t))(n_top, node_count)
+        assert sum(got[:2]) == pytest.approx(sum(fresh[:2]), rel=t.rel_tol / 100, abs=0.0)
+        return got
+
+    _refine(eval_at, t, q)
+    assert len(evaluations) >= 3
+    assert sum(evaluations) < len(evaluations)  # one assembly serves several steps
+
+
+def test_hopeless_matrix_shape_fails_before_any_assembly(monkeypatch):
+    # gap 0.001 predicts order 9211, far beyond twice n_max = 512
+    monkeypatch.setattr(kernel, "matrix_log_dets", None)
+    with pytest.raises(NoConvergenceError, match="predicted truncation order 9211"):
+        energy_exact(Eccentric(2.0, 0.999))
+
+
+# The engine names the benchmark tracer wraps (perfbench/tracer.py); a
+# refactor that drops one would silently blank a benchmark layer.
+TRACED_ENGINE_NAMES = ("energy_exact", "energy_concentric_accelerated", "_refine", "semi_infinite_nodes")
+
+
+@pytest.mark.parametrize("name", TRACED_ENGINE_NAMES)
+def test_engine_keeps_the_traced_names(name):
+    assert callable(getattr(engine, name, None))
+
+
+def test_refine_takes_eval_at_first():
+    # the tracer wraps the first positional argument of _refine per step
+    assert next(iter(inspect.signature(engine._refine).parameters)) == "eval_at"
+
+
+_cheap_matrix_shapes = st.one_of(
+    st.builds(
+        lambda alpha, share: Eccentric(alpha, share * (alpha - 1.0) / 3.0),  # delta <= gap / 2
+        st.floats(1.6, 3.0),
+        st.floats(0.0, 1.0),
+    ),
+    st.builds(CylinderPlane, st.floats(1.5, 3.0)),
+)
+
+
+@settings(max_examples=8, deadline=None)
+@given(g=_cheap_matrix_shapes)
+def test_matrix_energy_negative_converged_and_below_concentric(g):
+    r = energy_exact(g)
+    assert r.converged and r.e_hat < 0.0
+    if isinstance(g, Eccentric):
+        # displacing the inner shell lowers the energy, within both estimates
+        c = energy_exact(Concentric(g.alpha))
+        slack = r.est_rel_error * abs(r.e_hat) + c.est_rel_error * abs(c.e_hat)
+        assert energy_difference(g, Concentric(g.alpha)) <= slack
 
 
 # ---------------------------------------------------------------------------

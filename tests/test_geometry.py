@@ -1,7 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from casimir_cylinders import geometry
 from casimir_cylinders.geometry import (
@@ -108,6 +110,20 @@ def test_geometry_serialization_round_trip():
         assert geometry_from_dict(geometry_to_dict(g)) == g
     with pytest.raises(ValueError):
         geometry_from_dict({"type": "torus"})
+
+
+@settings(max_examples=50, deadline=None)
+@given(g=st.one_of(
+    st.builds(Concentric, st.floats(1.0, 1e6, exclude_min=True)),
+    st.floats(1.0, 1e6, exclude_min=True).flatmap(
+        lambda alpha: st.builds(Eccentric, st.just(alpha), st.floats(0.0, alpha - 1.0, exclude_max=True))
+    ),
+    st.builds(CylinderPlane, st.floats(1.0, 1e6, exclude_min=True)),
+))
+def test_geometry_dict_round_trip_property(g):
+    d = geometry_to_dict(g)
+    assert json.loads(json.dumps(d)) == d
+    assert geometry_from_dict(d) == g
 
 
 def test_truncation_spec_invariants():

@@ -167,6 +167,56 @@ def test_eccentric_truncation_insufficient_signal():
         kernel.matrix_log_dets(np.array([0.5, 6.0]), Eccentric(4.0, 2.5), t)
 
 
+def _rebuilt_inner_sum(beta, g, pol, n, m_cut):
+    """One item's inner sum over |m| <= m_cut, rebuilt from scratch.
+
+    Returns the largest share of an entry carried by the edge rows
+    m = +-m_cut and the half-width factors (log column scales, G, G') of
+    the matrix, with the same column scaling and 1e-150 floor as the kernel.
+    """
+    half_c = -0.5 * bessel.log_diag_pair(g.alpha * beta, m_cut)[pol]
+    log_i = bessel.log_i_ladder(g.delta * beta, m_cut + n)
+    m = np.arange(-m_cut, m_cut + 1)
+    expo = log_i[np.abs(m[:, None] - np.arange(n + 1))] + half_c[np.abs(m), None]
+    col_max = expo.max(axis=0)
+    u = np.exp(expo - col_max)
+    u[u < 1e-150] = 0.0
+    gram, gram_r = u.T @ u, u.T @ u[::-1]
+    lo, hi = u[0], u[-1]
+    with np.errstate(invalid="ignore"):
+        tail = max(np.nanmax((np.outer(lo, lo) + np.outer(hi, hi)) / gram),
+                   np.nanmax((np.outer(lo, hi) + np.outer(hi, lo)) / gram_r))
+    return tail, col_max, gram, gram_r
+
+
+def test_inner_sum_shells_match_full_rebuilds():
+    # each doubling adds only the new shell of rows to the Grams; the
+    # cutoff it picks, and the matrix, match a rebuild from scratch at
+    # every round, including items that take four rounds
+    g, n = Eccentric(3.0, 1.9), 8
+    t = TruncationSpec(n_max=n)
+    betas = np.array([0.02, 0.1, 0.4, 1.5, 5.0])
+    rounds = []
+    for items, log_w, gram, gram_r, m_cut in kernel._matrix_grams(betas, g, t):
+        for k, item in enumerate(items):
+            beta, pol = betas[item // 2], item % 2
+            cut = n + math.ceil(4.0 * beta * g.delta)
+            rounds.append(1)
+            while True:
+                tail, col_max, ref_gram, ref_gram_r = _rebuilt_inner_sum(beta, g, pol, n, cut)
+                if tail <= t.rel_tol:
+                    break
+                cut *= 2
+                rounds[-1] += 1
+            assert m_cut[k] == cut
+            half_d = 0.5 * bessel.log_diag_pair(beta, n)[pol]
+            w, ref_w = np.exp(log_w[k]), np.exp(half_d + col_max)
+            for mine, ref in ((gram[k], ref_gram), (gram_r[k], ref_gram_r)):
+                a, ref_a = np.outer(w, w) * mine, np.outer(ref_w, ref_w) * ref
+                assert a == pytest.approx(ref_a, rel=1e-10, abs=1e-14 * ref_a.max())
+    assert max(rounds) >= 4 and min(rounds) == 1
+
+
 def test_cylinder_plane_entry_example():
     mat = kernel.build_cylinder_plane(1.0, CylinderPlane(2.0), TM, TruncationSpec(n_max=3))
     assert mat.entries[3, 3] == pytest.approx(A_CP_00, rel=1e-10)
@@ -229,14 +279,17 @@ def test_batched_log_dets_match_per_frequency_builds(g, n, betas):
     t = TruncationSpec(n_max=n)
     build = kernel.build_eccentric if isinstance(g, Eccentric) else kernel.build_cylinder_plane
     log_dets, m_used = kernel.matrix_log_dets(np.array(betas), g, t)
-    assert log_dets.shape == (len(betas), 2)
+    assert log_dets.shape == (len(betas), 2, n + 1)
     m_single = 0
     for i, beta in enumerate(betas):
         for j, pol in enumerate((TM, TE)):
             mat = build(beta, g, pol, t)
-            sign, value = np.linalg.slogdet(np.eye(2 * n + 1) - mat.entries)
-            assert sign == 1.0
-            assert log_dets[i, j] == pytest.approx(value, rel=1e-12, abs=1e-12)
+            # entry [i, j, k] is the central (2k+1)^2 block of the same matrix
+            for k in range(n + 1):
+                block = mat.entries[n - k : n + k + 1, n - k : n + k + 1]
+                sign, value = np.linalg.slogdet(np.eye(2 * k + 1) - block)
+                assert sign == 1.0
+                assert log_dets[i, j, k] == pytest.approx(value, rel=1e-12, abs=1e-12)
             m_single = max(m_single, mat.m_used)
     assert m_used == m_single
 
