@@ -35,6 +35,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import asdict, fields
 
 from . import baselines, engine, kernel, rackpinion
@@ -262,13 +263,17 @@ def _cmd_rackpinion(args):
     spec = rackpinion.CorrugationSpec(*(getattr(args, f.name) for f in fields(rackpinion.CorrugationSpec)))
     # without a table the estimates use their default, constant J = 1
     profile = rackpinion.ProfileJ.from_file(args.j_table) if args.j_table else None
-    record = {
-        "energy_pp_per_area": rackpinion.energy_pp(spec, profile),
-        "energy_plane_rack": rackpinion.energy_plane_rack(spec, profile),
-        "energy_cyl_rack": rackpinion.energy_cyl_rack(spec, profile),
-        "force_ratio": rackpinion.force_ratio(spec, profile),
-        "sqrt_a_over_d": math.sqrt(spec.radius / spec.gap),
-    }
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", rackpinion.ValidityWarning)
+        record = {
+            "energy_pp_per_area": rackpinion.energy_pp(spec, profile),
+            "energy_plane_rack": rackpinion.energy_plane_rack(spec, profile),
+            "energy_cyl_rack": rackpinion.energy_cyl_rack(spec, profile),
+            "force_ratio": rackpinion.force_ratio(spec, profile),
+            "sqrt_a_over_d": math.sqrt(spec.radius / spec.gap),
+        }
+    for caution in caught:
+        print(f"warning: {caution.message}", file=sys.stderr)
     return _print_record(record, args.format)
 
 

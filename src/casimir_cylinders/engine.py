@@ -4,27 +4,30 @@ Every evaluator computes the dimensionless energy
 
     e_hat = integral(0, inf) dbeta  beta [ln det(1 - A_TE) + ln det(1 - A_TM)]
 
-through one path for all geometries.  A per-geometry evaluation returns
-the TM and TE log-determinant sums at a batch of frequencies for every
-truncation order up to the one it ran at, and one cache
-(``_cached_integrand``) keeps the last evaluation, so that it answers
-every truncation order ``_refine`` asks for on the same frequencies.
-One quadrature step clips the frequencies at ``_beta_limit`` and
-applies the transformed Gauss (or adaptive-panel) rule; and ``_refine``
-grows the matrix half-bandwidth and the node count until the result is
-stable to the requested tolerance.  Resource caps turn a runaway
-refinement into NoConvergenceError instead of a silent bad number.
+through one path for all geometries.  Each geometry family supplies
+only ``evaluate(betas, top)``: the TM and TE log-determinant sums at a
+batch of frequencies for every truncation order up to top.  One
+quadrature step (``_eval_factory``) keeps the last evaluation to answer
+every lower order ``_refine`` asks for on the same frequencies, picks
+the orders evaluated by one policy for every family (first the
+refinement rung nearest the predicted order, or n_max without adapt;
+then exactly the order asked for), clips the frequencies at
+``_beta_limit`` and applies the transformed Gauss (or adaptive-panel)
+rule; and ``_refine`` grows the matrix half-bandwidth and the node
+count until the result is stable to the requested tolerance.  Resource
+caps turn a runaway refinement into NoConvergenceError instead of a
+silent bad number.
 
 For the dense eccentric and cylinder-plane matrices
 ``kernel.matrix_log_dets`` assembles and factors the whole batch once
 and reads every lower order off the leading minors.  For concentric
 shells the matrices are diagonal and the determinant is a plain sum over
 azimuthal index n: one ``kernel.concentric_log_ratios`` call per
-evaluation gives the TM and TE terms from four shared ladders, and their
-cumulative sums over n give every lower order.  That sum converges
-painfully slowly as alpha -> 1, so ``energy_concentric_accelerated``
-subtracts, inside every n >= 1 term of both polarizations, the leading
-large-order approximant
+evaluation gives the TM and TE terms from one fused ``log_diag_pair``
+pass over beta and alpha beta, and their cumulative sums over n give
+every lower order.  That sum converges painfully slowly as alpha -> 1,
+so ``energy_concentric_accelerated`` subtracts, inside every n >= 1
+term of both polarizations, the leading large-order approximant
 
     r_n(beta) ~ q_n(beta) = exp(-2 (alpha - 1) sqrt(n^2 + beta^2)),
 
@@ -107,17 +110,50 @@ def _beta_limit(g):
     return min(decay_limit, ladder_limit)
 
 
-def _eval_factory(g, q, integrand, offset=0.0):
+def _predicted_order(g, t):
+    """Order at which the exp(-2 gap n) envelope of the terms falls to rel_tol (>= 1)."""
+    return max(1, math.ceil(-math.log(t.rel_tol) / gap(g)))
+
+
+def _first_rung(predicted, n_max, start):
+    """The order nearest ``predicted`` in log on the ladder ``_refine`` climbs from start.
+
+    The ladder counts from its second rung; the cap n_max counts as a rung
+    only when the prediction reaches it.
+    """
+    rungs = [min(_next_order(start), n_max)]
+    while _next_order(rungs[-1]) < n_max:
+        rungs.append(_next_order(rungs[-1]))
+    if predicted >= n_max:
+        rungs.append(n_max)
+    return min(rungs, key=lambda n: abs(math.log(n / predicted)))
+
+
+def _eval_factory(g, t, q, evaluate, n_start=_N_START, offset=0.0):
     """The ``eval_at(n_top, node_count) -> (e_tm, e_te, m_used)`` of ``_refine``.
 
-    ``integrand(betas, n_top)`` returns the TM and TE log-determinant sums
-    at each frequency, shape (len(betas), 2), and the largest inner-sum
-    cutoff it used.  Frequencies beyond ``_beta_limit`` contribute zero and
-    are never evaluated.  ``offset`` is added to the energy of each
-    polarization.
+    ``evaluate(betas, top)`` returns the cumulative TM and TE
+    log-determinant sums over the orders 0..top, shape
+    (len(betas), 2, top+1), and the largest inner-sum cutoff it used.  One
+    cache keeps the last evaluation, so a request at n_top <= top on the
+    same frequencies reads entry n_top.  With adapt the first evaluation
+    runs at the rung of the ladder from ``n_start`` nearest the predicted
+    order, without at n_max; a miss and new frequencies (the node doubling
+    at the final order) run at exactly n_top.  Frequencies beyond
+    ``_beta_limit`` contribute zero and are never evaluated.  ``offset``
+    is added to the energy of each polarization.
     """
     decay = 1.0 / (2.0 * gap(g))
     limit = _beta_limit(g)
+    first = _first_rung(_predicted_order(g, t), t.n_max, n_start) if t.adapt else t.n_max
+    seen, cum, m_used = None, None, 0
+
+    def sums(betas, n_top):
+        nonlocal seen, cum, m_used
+        if seen is None or n_top >= cum.shape[2] or not np.array_equal(betas, seen):
+            top = max(n_top, first) if seen is None else n_top
+            seen, (cum, m_used) = betas, evaluate(betas, top)
+        return cum[:, :, n_top], m_used
 
     def eval_at(n_top, node_count):
         m_seen = 0
@@ -127,9 +163,9 @@ def _eval_factory(g, q, integrand, offset=0.0):
             out = np.zeros((betas.size, 2))
             keep = betas <= limit
             if keep.any():
-                sums, m_used = integrand(betas[keep], n_top)
-                out[keep] = betas[keep, None] * sums
-                m_seen = max(m_seen, m_used)
+                s, m = sums(betas[keep], n_top)
+                out[keep] = betas[keep, None] * s
+                m_seen = max(m_seen, m)
             return out
 
         if q.rule is QuadratureRule.ADAPTIVE_PANEL:
@@ -144,68 +180,27 @@ def _eval_factory(g, q, integrand, offset=0.0):
 
 
 # ---------------------------------------------------------------------------
-# One cache of per-order sums for every geometry.
-
-def _predicted_order(g, t):
-    """Order at which the exp(-2 gap n) envelope of the terms falls to rel_tol."""
-    return math.ceil(-math.log(t.rel_tol) / gap(g))
-
-
-def _cached_integrand(evaluate, n_max, first_top, miss_top):
-    """One integrand that answers every truncation order from its last evaluation.
-
-    ``evaluate(betas, top)`` returns the cumulative TM and TE sums over
-    the orders 0..top, shape (len(betas), 2, top+1), and its inner-sum
-    cutoff; a request at n_top <= top on the same frequencies reads entry
-    n_top.  The first evaluation runs at ``first_top``, a later miss on
-    the same frequencies at ``miss_top(n_top)``, and new frequencies (the
-    node doubling at the final order) at exactly n_top; none runs past
-    n_max or below n_top.
-    """
-    seen, cum, m_used = None, None, 0
-
-    def integrand(betas, n_top):
-        nonlocal seen, cum, m_used
-        if cum is None:
-            top = first_top
-        elif not np.array_equal(betas, seen):
-            top = n_top
-        elif n_top < cum.shape[2]:
-            return cum[:, :, n_top], m_used
-        else:
-            top = miss_top(n_top)
-        seen, (cum, m_used) = betas, evaluate(betas, max(n_top, min(n_max, top)))
-        return cum[:, :, n_top], m_used
-
-    return integrand
-
-
-# ---------------------------------------------------------------------------
 # Concentric shells: diagonal kernel, vectorized over the frequency grid.
 
-def _concentric_integrand(g, t, accelerated):
-    """Folded sums g_0 + 2 sum_{n=1..n_top} g_n with g_n = ln(1 - r_n).
+def _concentric_integrand(g, accelerated):
+    """``evaluate`` of the folded sums g_0 + 2 sum_{n=1..top} g_n, g_n = ln(1 - r_n).
 
     In the accelerated variant every n >= 1 term of either polarization
     has ln(1 - q_n) subtracted, q_n being the resummed uniform approximant.
-
     A term at order n does not depend on the truncation, so the cumulative
-    folded sums of one evaluation serve every lower order.  The first
-    evaluation runs at the predicted order, where the exp(-2 gap n)
-    envelope of the terms has fallen to rel_tol, and a miss runs one
-    refinement step ahead.
+    folded sums of one evaluation serve every lower order.
     """
     alpha = g.alpha
 
     def evaluate(betas, top):
-        terms = _log1mexp(kernel.concentric_log_ratios(betas, alpha, None, top))  # (2, top + 1, nb)
+        terms = _log1mexp(kernel.concentric_log_ratios(betas, alpha, top))  # (2, top + 1, nb)
         if accelerated:
             n = np.arange(1, top + 1)[:, None]
             terms[:, 1:] -= _log1mexp(-2.0 * (alpha - 1.0) * np.sqrt(n * n + betas[None, :] ** 2))
         terms[:, 1:] *= 2.0
         return np.cumsum(terms, axis=1, out=terms).transpose(2, 0, 1), 0
 
-    return _cached_integrand(evaluate, t.n_max, _predicted_order(g, t), _next_order)
+    return evaluate
 
 
 def tilde_energy(alpha):
@@ -244,44 +239,24 @@ def tilde_energy(alpha):
 # ---------------------------------------------------------------------------
 # Matrix geometries: eccentric shells and cylinder-plane.
 
-def _first_rung(predicted, n_max):
-    """The refinement order nearest ``predicted`` in log, at least the second (24).
-
-    The cap n_max counts as an order only when the prediction reaches it.
-    """
-    rungs = [_next_order(_N_START)]
-    while _next_order(rungs[-1]) < n_max:
-        rungs.append(_next_order(rungs[-1]))
-    if predicted >= n_max:
-        rungs.append(n_max)
-    return min(rungs, key=lambda n: abs(math.log(n / predicted)))
-
-
 def _matrix_integrand(g, t):
-    """ln det(1 - A) per polarization at every order up to the one assembled.
+    """``evaluate`` of ln det(1 - A) per polarization at every order up to top.
 
     One ``kernel.matrix_log_dets`` call gives the whole truncation ladder
-    up to its order from the leading minors.  With adapt the first call
-    runs at the ladder order nearest the predicted one, and a shape whose
-    prediction exceeds twice n_max fails before any assembly (converging
-    shapes end at 0.87-1.26 times their prediction); without, it runs at
-    n_max.  A miss and new frequencies run at exactly n_top, so the final
-    node doubling assembles at the final order and its inner-sum cutoff.
+    up to its order from the leading minors.  With adapt a shape whose
+    predicted order exceeds twice n_max fails before any assembly
+    (converging shapes end at 0.87-1.26 times their prediction).
     """
     predicted = _predicted_order(g, t)
-    if not t.adapt:
-        first_top = t.n_max
-    elif predicted > 2 * t.n_max:
+    if t.adapt and predicted > 2 * t.n_max:
         raise NoConvergenceError(
             f"predicted truncation order {predicted} exceeds twice the cap n_max = {t.n_max}"
         )
-    else:
-        first_top = _first_rung(predicted, t.n_max)
 
     def evaluate(betas, top):
         return kernel.matrix_log_dets(betas, g, replace(t, n_max=top))
 
-    return _cached_integrand(evaluate, t.n_max, first_top, lambda n_top: n_top)
+    return evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +362,10 @@ def energy_exact(g, t=None, q=None):
     t = t or TruncationSpec()
     q = q or QuadratureSpec()
     if isinstance(g, Concentric):
-        integrand = _concentric_integrand(g, t, accelerated=False)
+        evaluate = _concentric_integrand(g, accelerated=False)
     else:
-        integrand = _matrix_integrand(g, t)
-    return _refine(_eval_factory(g, q, integrand), t, q)
+        evaluate = _matrix_integrand(g, t)
+    return _refine(_eval_factory(g, t, q, evaluate), t, q)
 
 
 def energy_concentric_accelerated(g, t=None, q=None):
@@ -411,9 +386,8 @@ def energy_concentric_accelerated(g, t=None, q=None):
     # beyond the hump keeps the small early deltas from faking
     # convergence against the tilde-dominated total.
     n_start = max(_N_START, math.ceil(1.5 / (g.alpha - 1.0)))
-    eval_at = _eval_factory(
-        g, q, _concentric_integrand(g, t, accelerated=True), offset=0.5 * tilde_energy(g.alpha)
-    )
+    evaluate = _concentric_integrand(g, accelerated=True)
+    eval_at = _eval_factory(g, t, q, evaluate, n_start, offset=0.5 * tilde_energy(g.alpha))
     return _refine(eval_at, t, q, n_start=n_start, accelerated=True)
 
 

@@ -126,20 +126,19 @@ class SpectralMatrix:
         return "\n".join(lines) + "\n"
 
 
-def concentric_log_ratios(beta, alpha, pol, n_max):
+def concentric_log_ratios(beta, alpha, n_max):
     """log r_n for n = 0..n_max at a single beta (or an array of betas).
 
     r_n = d_n(beta) / d_n(alpha beta), d_n the diagonal factor of
     ``bessel.log_diag_pair``, taken in one pass over beta and alpha beta
-    together.  pol=None gives both polarizations, shape
-    (2, n_max + 1) + beta.shape in (TM, TE) order.
+    together.  Both polarizations, shape (2, n_max + 1) + beta.shape in
+    (TM, TE) order.
     """
     betas = np.asarray(beta, dtype=float)
     log_d = log_diag_pair(np.concatenate([betas.ravel(), alpha * betas.ravel()]), n_max)
     log_r = log_d[..., : betas.size]
     log_r -= log_d[..., betas.size :]
-    log_r = log_r.reshape(log_r.shape[:-1] + betas.shape)
-    return log_r if pol is None else log_r[_POLARIZATIONS.index(pol)]
+    return log_r.reshape(log_r.shape[:-1] + betas.shape)
 
 
 def _checked_beta(beta, g, cls, type_message):
@@ -160,9 +159,22 @@ def build_concentric(beta, g, pol, n_max=32):
     sit below its neighbour at small beta).
     """
     beta = _checked_beta(beta, g, Concentric, "build_concentric expects a Concentric geometry")
-    log_r = concentric_log_ratios(beta, g.alpha, pol, n_max)
+    log_r = concentric_log_ratios(beta, g.alpha, n_max)[_POLARIZATIONS.index(pol)]
     folded = np.concatenate([log_r[::-1], log_r[1:]])
     return np.exp(folded)
+
+
+def _exp_significant(log_u):
+    """exp(log_u) in place, with every share below 1e-150 of its reference set to 0.
+
+    Such a summand adds nothing to an entry, while its subnormal products
+    would slow the Gram products many-fold, and so would exp's underflow
+    path: clip, exponentiate, then zero.
+    """
+    np.maximum(log_u, 2.0 * _LOG_NEGLIGIBLE, out=log_u)
+    u = np.exp(log_u, out=log_u)
+    u[u < _NEGLIGIBLE] = 0.0
+    return u
 
 
 def _add_shell(acc, half_c, log_bridge, lo, hi, n):
@@ -198,12 +210,7 @@ def _add_shell(acc, half_c, log_bridge, lo, hi, n):
         gram_r *= rescale
     col_max[:] = new_max
     expo -= ref[:, None, :]
-    # A summand 1e150 below its column's peak adds nothing to an entry,
-    # while its subnormal products would slow the Gram products many-fold,
-    # and so would exp's underflow path: clip, then zero.
-    np.maximum(expo, 2.0 * _LOG_NEGLIGIBLE, out=expo)
-    u = np.exp(expo, out=expo)
-    u[u < _NEGLIGIBLE] = 0.0
+    u = _exp_significant(expo)
     gram += u.transpose(0, 2, 1) @ u
     # G' pairs row m with row -m: sum over m > 0 of u_m u_-m^T, its
     # transpose, and u_0 u_0^T
@@ -213,7 +220,7 @@ def _add_shell(acc, half_c, log_bridge, lo, hi, n):
     if inner == 0:
         gram_r += u[:, neg, :, None] * u[:, neg, None, :]
     k = np.arange(hi.size)
-    lo_row = u[k, np.where(hi > 0, hi - neg_inner, neg)]
+    lo_row = u[k, hi - neg_inner]
     hi_row = u[k, neg + hi - inner]
     edge = lo_row[:, :, None] * lo_row[:, None, :]
     edge += hi_row[:, :, None] * hi_row[:, None, :]
@@ -299,13 +306,7 @@ def _plane_grams(betas, g, t, pols):
         ext = np.concatenate([log_k[:, n:0:-1], log_k[:, : n + 1]], axis=1)
         toeplitz = sliding_window_view(ext, n + 1, axis=1)[:, ::-1]  # log K_|q-s|
         scale = half[b, :, None] + half[b, None, :]
-        grams = []
-        for a in (hankel - scale, toeplitz - scale):
-            # entries 1e150 below the unit diagonal add nothing; see _add_shell
-            np.maximum(a, 2.0 * _LOG_NEGLIGIBLE, out=a)
-            np.exp(a, out=a)
-            a[a < _NEGLIGIBLE] = 0.0
-            grams.append(np.repeat(a, npol, axis=0))
+        grams = [np.repeat(_exp_significant(a - scale), npol, axis=0) for a in (hankel, toeplitz)]
         items = np.arange(s * npol, b[-1] * npol + npol)
         beta_i, pol_i = items // npol, items % npol
         yield items, half_d[pol_i, :, beta_i] + half[beta_i], *grams, np.zeros(items.size, dtype=int)

@@ -148,6 +148,31 @@ def test_rackpinion_record(capsys):
     assert record["sqrt_a_over_d"] == pytest.approx(10.0, rel=1e-12)
 
 
+def test_rackpinion_validity_warning_is_one_line(capsys):
+    code, out, err = run(capsys, "rackpinion", "--amplitude", "1e-8", "--wavelength", "1e-6",
+                         "--displacement", "0", "--gap", "1e-6", "--radius", "5e-6",
+                         "--length", "1e-5")
+    assert code == 0
+    assert err == "warning: a/d = 5 < 10: outside the close-fitting regime\n"
+    assert "sqrt_a_over_d: 2.23606798" in out.splitlines()
+
+
+@pytest.mark.parametrize("rel_tol", ["1", "2"])
+@pytest.mark.parametrize("shape", [
+    ["concentric", "--alpha", "2"],
+    ["eccentric", "--alpha", "2", "--delta", "0.5"],
+    ["cylplane", "--h-over-a", "2"],
+])
+def test_loose_rel_tol_converges_for_every_family(capsys, shape, rel_tol):
+    # a tolerance of 1 or more predicts order 1; the first rung still runs
+    code, out, err = run(capsys, *shape, "--rel-tol", rel_tol)
+    assert (code, err) == (0, "")
+    assert "converged: True" in out.splitlines()
+    if shape[0] == "concentric":  # the record printed before the shared policy
+        for line in ("e_hat: -1.41285586", "est_rel_error: 1.32953947e-09", "n_max: 24", "nodes: 256"):
+            assert line in out.splitlines()
+
+
 def test_sweep_csv_schema_and_content(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     code, _, _ = run(capsys, "sweep", "--family", "concentric", "--alpha", "1.2,1.4",

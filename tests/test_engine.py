@@ -26,7 +26,6 @@ from casimir_cylinders.geometry import (
     Concentric,
     CylinderPlane,
     Eccentric,
-    Polarization,
     QuadratureRule,
     QuadratureSpec,
     TruncationSpec,
@@ -197,7 +196,7 @@ def test_n0_term_is_kept_exactly():
     alpha = 1.2
     betas, _ = semi_infinite_nodes(1.0 / (2.0 * (alpha - 1.0)), 32)
     betas = betas[betas <= _beta_limit(Concentric(alpha))]
-    log_r = kernel.concentric_log_ratios(betas, alpha, Polarization.TM, 24)
+    log_r = kernel.concentric_log_ratios(betas, alpha, 24)[0]  # TM
     assert np.abs(np.log1p(-np.exp(log_r[0]))).max() > 1e-3
 
 
@@ -225,7 +224,7 @@ def test_cached_orders_match_fresh_evaluations(accelerated, adapt, monkeypatch):
     calls = []
     ratios = kernel.concentric_log_ratios
     monkeypatch.setattr(kernel, "concentric_log_ratios", lambda *a: calls.append(a) or ratios(*a))
-    cached = _eval_factory(g, q, _concentric_integrand(g, t, accelerated))
+    cached = _eval_factory(g, t, q, _concentric_integrand(g, accelerated))
     evaluations = []  # integrand evaluations per refinement step
 
     def eval_at(n_top, node_count):
@@ -233,8 +232,8 @@ def test_cached_orders_match_fresh_evaluations(accelerated, adapt, monkeypatch):
         got = cached(n_top, node_count)
         evaluations.append(len(calls) - before)
         # a fresh integrand capped at n_top evaluates at exactly that order
-        fresh_integrand = _concentric_integrand(g, replace(t, n_max=n_top), accelerated)
-        fresh = _eval_factory(g, q, fresh_integrand)(n_top, node_count)
+        fresh_t = replace(t, n_max=n_top)
+        fresh = _eval_factory(g, fresh_t, q, _concentric_integrand(g, accelerated))(n_top, node_count)
         assert got[:2] == pytest.approx(fresh[:2], rel=1e-12, abs=0.0)
         return got
 
@@ -245,22 +244,22 @@ def test_cached_orders_match_fresh_evaluations(accelerated, adapt, monkeypatch):
 
 
 def test_concentric_call_sequence_is_pinned(monkeypatch):
-    # the cache shared with the matrix family keeps the concentric policy:
-    # (frequencies, alpha, pol, order) of every concentric_log_ratios call
+    # the truncation policy shared with the matrix family: (frequencies,
+    # alpha, order) of every concentric_log_ratios call
     calls = []
     ratios = kernel.concentric_log_ratios
     monkeypatch.setattr(
         kernel, "concentric_log_ratios", lambda *a: calls.append((a[0].size,) + a[1:]) or ratios(*a)
     )
     for evaluate, alpha, t, expected in (
-        (energy_exact, 1.3, None, [(116, 31), (116, 54), (231, 36)]),
-        (energy_concentric_accelerated, 1.05, None, [(116, 185), (231, 150)]),
-        (energy_exact, 1.5, TruncationSpec(n_max=60, adapt=False), [(116, 30), (116, 60), (231, 60)]),
+        (energy_exact, 1.3, None, [(116, 36), (231, 36)]),
+        (energy_concentric_accelerated, 1.05, None, [(116, 225), (231, 150)]),
+        (energy_exact, 1.5, TruncationSpec(n_max=60, adapt=False), [(116, 60), (231, 60)]),
         (energy_concentric_accelerated, 1.1, TruncationSpec(n_max=80, adapt=False), [(116, 80), (231, 80)]),
     ):
         calls.clear()
         evaluate(Concentric(alpha), t)
-        assert calls == [(size, alpha, None, order) for size, order in expected]
+        assert calls == [(size, alpha, order) for size, order in expected]
 
 
 @settings(max_examples=12, deadline=None)
@@ -268,6 +267,29 @@ def test_concentric_call_sequence_is_pinned(monkeypatch):
 def test_accelerated_energy_negative_and_decreasing_in_alpha(alphas):
     near, far = (energy_concentric_accelerated(Concentric(a)).e_hat for a in alphas)
     assert near < far < 0.0
+
+
+@settings(max_examples=12, deadline=None)
+@given(alphas=st.floats(1.05, 2.999).flatmap(lambda lo: st.tuples(st.just(lo), st.floats(lo + 1e-3, 3.0))))
+def test_exact_concentric_energy_increases_with_alpha(alphas):
+    near, far = (energy_exact(Concentric(a)).e_hat for a in alphas)
+    assert near < far < 0.0
+
+
+@settings(max_examples=5, deadline=None)
+@given(alpha=st.floats(1.6, 3.0), share=st.floats(0.2, 1.0))
+def test_eccentric_energy_tends_to_concentric_as_delta_halves(alpha, share):
+    concentric = energy_exact(Concentric(alpha))
+    deltas = [share * (alpha - 1.0) / 4.0 / 2 ** k for k in range(3)]
+    gaps = []
+    for delta in deltas:
+        eccentric = energy_exact(Eccentric(alpha, delta))
+        noise = eccentric.est_rel_error * abs(eccentric.e_hat) + concentric.est_rel_error * abs(concentric.e_hat)
+        gaps.append((abs(eccentric.e_hat - concentric.e_hat), noise))
+    for (wide, _), (narrow, noise) in zip(gaps, gaps[1:]):
+        assert narrow <= wide + noise
+    # the displacement energy falls like delta^2: two halvings shrink it 16-fold
+    assert gaps[-1][0] <= gaps[0][0] / 4.0 + gaps[-1][1]
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +398,7 @@ def test_matrix_minors_match_fresh_evaluations(g, adapt, monkeypatch):
     calls = []
     log_dets = kernel.matrix_log_dets
     monkeypatch.setattr(kernel, "matrix_log_dets", lambda *a: calls.append(a) or log_dets(*a))
-    cached = _eval_factory(g, q, _matrix_integrand(g, t))
+    cached = _eval_factory(g, t, q, _matrix_integrand(g, t))
     evaluations = []  # assemblies per refinement step
 
     def eval_at(n_top, node_count):
@@ -384,7 +406,7 @@ def test_matrix_minors_match_fresh_evaluations(g, adapt, monkeypatch):
         got = cached(n_top, node_count)
         evaluations.append(len(calls) - before)
         fresh_t = replace(t, n_max=n_top, adapt=False)  # assembles at exactly n_top
-        fresh = _eval_factory(g, q, _matrix_integrand(g, fresh_t))(n_top, node_count)
+        fresh = _eval_factory(g, fresh_t, q, _matrix_integrand(g, fresh_t))(n_top, node_count)
         assert sum(got[:2]) == pytest.approx(sum(fresh[:2]), rel=t.rel_tol / 100, abs=0.0)
         return got
 
@@ -413,6 +435,12 @@ def test_engine_keeps_the_traced_names(name):
 def test_refine_takes_eval_at_first():
     # the tracer wraps the first positional argument of _refine per step
     assert next(iter(inspect.signature(engine._refine).parameters)) == "eval_at"
+
+
+def test_concentric_ratios_take_the_frequencies_first():
+    # the tracer counts the frequencies of a concentric_log_ratios call
+    # from its first positional argument
+    assert next(iter(inspect.signature(kernel.concentric_log_ratios).parameters)) == "beta"
 
 
 _cheap_matrix_shapes = st.one_of(

@@ -68,7 +68,7 @@ def test_concentric_ratios_run_one_seed(monkeypatch):
     seed = bessel._k01_scaled
     monkeypatch.setattr(bessel, "_k01_scaled", lambda x: calls.append(x.size) or seed(x))
     betas = np.geomspace(1e-3, 300.0, 64)
-    kernel.concentric_log_ratios(betas, 1.5, None, 181)
+    kernel.concentric_log_ratios(betas, 1.5, 181)
     assert calls == [2 * betas.size]
 
 
