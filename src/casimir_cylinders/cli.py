@@ -21,9 +21,11 @@ Energies are reported in units of hbar c L / (4 pi a^2); SI values appear
 only when both --a-meters and --L-meters are given.  CSV floats carry 9
 significant digits and sweep output is byte-stable for a fixed request;
 the wall_ms column stays 0 unless --timing is passed (real timings break
-byte-stability).  CASIMIR_THREADS caps sweep workers, the pool never
-starts more workers than the sweep has rows, and each worker runs BLAS
-with one thread.
+byte-stability).  CASIMIR_THREADS caps sweep workers, and the pool never
+starts more workers than the sweep has rows or the process has cores.
+The CLI process runs BLAS with one thread from the start, so forked
+sweep workers inherit that cap instead of setting it themselves (which
+would restart a spinning OpenBLAS helper thread in each worker).
 """
 
 import argparse
@@ -38,8 +40,9 @@ import time
 import warnings
 from dataclasses import asdict, fields
 
-from . import baselines, engine, kernel, rackpinion
+from . import baselines, engine, kernel, quadrature, rackpinion
 from .geometry import (
+    NODE_CAP,
     Concentric,
     CylinderPlane,
     Eccentric,
@@ -345,11 +348,16 @@ def _format_cell(value):
 
 
 def _one_blas_thread():
-    """Sweep pool initializer: give numpy's bundled OpenBLAS one thread.
+    """Give numpy's bundled OpenBLAS one thread, unless it already has one.
 
-    Each worker already keeps one core busy; BLAS threads on top of that
-    oversubscribe the cores.  Does nothing when no OpenBLAS library with a
-    known thread-count symbol ships with numpy.
+    Each sweep worker already keeps one core busy; BLAS threads on top of
+    that oversubscribe the cores.  ``main`` calls this before any solve, so
+    forked workers inherit the cap; the sweep pool's initializer calls it
+    again for workers started without fork, which begin at the library
+    default.  A forked worker reads one thread and sets nothing: a set
+    call there would restart an OpenBLAS helper thread that spins against
+    the other workers.  Does nothing when no OpenBLAS library with known
+    thread-count symbols ships with numpy.
     """
     import ctypes
     import glob
@@ -359,17 +367,42 @@ def _one_blas_thread():
     libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs", "*openblas*")
     for lib in glob.glob(libs):
         cdll = ctypes.CDLL(lib)
-        for sym in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads"):
-            set_threads = getattr(cdll, sym, None)
-            if set_threads is not None:
+        for sym in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get_threads = getattr(cdll, sym.format("get"), None)
+            set_threads = getattr(cdll, sym.format("set"), None)
+            if get_threads is not None and set_threads is not None:
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
                 set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                set_threads(1)
+                if get_threads() > 1:
+                    set_threads(1)
                 return
+
+
+def _usable_cores():
+    """How many cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _build_node_tables(tasks):
+    """Build the Gauss-Legendre tables of the solved rows once, for the workers to inherit.
+
+    Every row of a sweep shares one QuadratureSpec; the refinement uses its
+    node count and then the doubled one.
+    """
+    if all(evaluator in ANALYTIC_EVALUATORS for _, _, evaluator, _ in tasks):
+        return
+    _, q = tasks[0][3]
+    if q.rule is QuadratureRule.TRANSFORMED_GAUSS and 2 * q.node_count <= NODE_CAP:
+        quadrature.gauss_legendre_01(q.node_count)
+        quadrature.gauss_legendre_01(2 * q.node_count)
 
 
 def _cmd_sweep(args):
     tasks = _sweep_tasks(args)
-    workers = args.workers
+    # the fork start method starts all max_workers at the first submit
+    workers = min(args.workers, len(tasks), _usable_cores())
     env_cap = os.environ.get("CASIMIR_THREADS")
     if env_cap:
         try:
@@ -377,8 +410,7 @@ def _cmd_sweep(args):
         except ValueError:
             raise ValueError(f"CASIMIR_THREADS must be an integer, got {env_cap!r}") from None
     if workers > 1:
-        # the fork start method starts all max_workers at the first submit
-        workers = min(workers, len(tasks))
+        _build_node_tables(tasks)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             futures = [pool.submit(_sweep_row, task, args.timing) for task in tasks]
             rows = [f.result() for f in futures]  # submission order == grid order
@@ -496,6 +528,7 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    _one_blas_thread()  # before any solve, so forked sweep workers inherit it
     try:
         return args.run(args)
     except _HANDLED as exc:

@@ -121,37 +121,64 @@ def _memo_bessel(fn, order, arg, dps):
     return fn(order, arg)
 
 
-def addition_sum(x, h, n, p, pol, m_cut=None):
-    """Direct high-precision evaluation of the inner addition-theorem sum.
+def bessel_k_upward(top, arg):
+    """[K_0(arg), ..., K_top(arg)] by K_{m+1} = K_{m-1} + (2m/arg) K_m from direct K_0, K_1.
+
+    K grows with the order, so the upward recurrence is stable.  Run it
+    inside extra working precision (see ``addition_sum``).
+    """
+    values = [mp.besselk(0, arg), mp.besselk(1, arg)]
+    for m in range(1, top):
+        values.append(values[m - 1] + 2 * m / arg * values[m])
+    return values[: top + 1]
+
+
+def bessel_i_downward(top, arg):
+    """[I_0(arg), ..., I_top(arg)] by I_{m-1} = I_{m+1} + (2m/arg) I_m from direct I_top, I_{top-1}.
+
+    I falls with the order, so the downward recurrence is stable.
+    """
+    values = [mp.besseli(top, arg), mp.besseli(top - 1, arg)]
+    for m in range(top - 1, 0, -1):
+        values.append(values[-2] + 2 * m / arg * values[-1])
+    return values[::-1]
+
+
+def addition_top(x, h, n, p):
+    """(m_cut, top): ``addition_sum``'s default cutoff and the highest Bessel order it uses.
 
     The summand has a secondary hump near |m| ~ x and its tail decays
     only like exp(-2 m h / x), so the cutoff scales with x and with x/h.
-    Each Bessel value is computed once per (kind, order, argument): the
-    summands at +-m, the derivative neighbours and later calls at the same
-    arguments share them.
     """
-    x = mp.mpf(x)
-    h = mp.mpf(h)
-    m_cut = m_cut or int(4 * float(x) + 16.0 * float(x) / float(h)) + abs(n) + abs(p) + 40
-    y = x + h
+    m_cut = int(4 * float(x) + 16.0 * float(x) / float(h)) + abs(n) + abs(p) + 40
+    return m_cut, m_cut + abs(n) + abs(p) + 1
 
-    def i(order, arg):
-        return _memo_bessel(mp.besseli, order, arg, mp.mp.dps)
 
-    def k(order, arg):
-        return _memo_bessel(mp.besselk, order, arg, mp.mp.dps)
+def addition_sum(x, h, n, p, pol):
+    """Direct high-precision evaluation of the inner addition-theorem sum.
 
-    total = mp.mpf(0)
-    for m in range(-m_cut, m_cut + 1):
-        am = abs(m)
-        if pol == "TM":
-            c = k(am, y) / i(am, y)
-        else:
-            kp = -(k(abs(m - 1), y) + k(abs(m + 1), y)) / 2
-            ip = (i(abs(m - 1), y) + i(abs(m + 1), y)) / 2
-            c = kp / ip
-        total += c * i(abs(n - m), x) * i(abs(p - m), x)
-    return float(total)
+    The sum runs over |m| <= m_cut (see ``addition_top``).  The Bessel
+    values come from the stable three-term recurrences at 30 extra
+    digits, seeded by four direct mpmath values per argument.
+    """
+    m_cut, top = addition_top(x, h, n, p)
+    with mp.workdps(mp.mp.dps + 30):
+        x = mp.mpf(x)
+        y = x + mp.mpf(h)
+        i_x = bessel_i_downward(top, x)
+        i_y = bessel_i_downward(top, y)
+        k_y = bessel_k_upward(top, y)
+        total = mp.mpf(0)
+        for m in range(-m_cut, m_cut + 1):
+            am = abs(m)
+            if pol == "TM":
+                c = k_y[am] / i_y[am]
+            else:
+                kp = -(k_y[abs(m - 1)] + k_y[abs(m + 1)]) / 2
+                ip = (i_y[abs(m - 1)] + i_y[abs(m + 1)]) / 2
+                c = kp / ip
+            total += c * i_x[abs(n - m)] * i_x[abs(p - m)]
+        return float(total)
 
 
 def _besselk(order, arg):

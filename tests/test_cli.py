@@ -1,6 +1,7 @@
 import concurrent.futures
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -201,22 +202,44 @@ def test_sweep_invalid_point_exits_1(capsys):
 
 
 def test_sweep_worker_determinism(tmp_path, capsys):
-    args = ["sweep", "--family", "concentric", "--alpha", "1.2:1.5:4",
-            "--evaluators", "exact,nntl"]
-    p1 = tmp_path / "w1.csv"
-    p2 = tmp_path / "w2.csv"
-    assert run(capsys, *args, "--output", str(p1), "--workers", "1")[0] == 0
-    assert run(capsys, *args, "--output", str(p2), "--workers", "4")[0] == 0
-    assert p1.read_bytes() == p2.read_bytes()
+    sweeps = [
+        ["concentric", "--alpha", "1.2:1.5:4", "--evaluators", "exact,accelerated,nntl"],
+        ["cylplane", "--h-over-a", "1.5,2,3", "--evaluators", "exact", "--rel-tol", "1e-3"],
+    ]
+    for family, fmt in itertools.product(sweeps, ["csv", "json"]):
+        args = ["sweep", "--family", *family, "--format", fmt]
+        p1 = tmp_path / "w1.out"
+        p2 = tmp_path / "w2.out"
+        assert run(capsys, *args, "--output", str(p1), "--workers", "1")[0] == 0
+        assert run(capsys, *args, "--output", str(p2), "--workers", "2")[0] == 0
+        assert p1.read_bytes() == p2.read_bytes(), (family, fmt)
 
 
-def _python(code, **env):
-    """Run ``code`` in a fresh interpreter that imports this package; return its stdout."""
+def _python(code, *argv, **env):
+    """Run ``code`` (or the script file ``argv[0]``) in a fresh interpreter; return its stdout."""
     env = dict(os.environ, **env)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(casimir_cylinders.__file__))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          check=True, timeout=120)
+    command = [sys.executable, *argv] if code is None else [sys.executable, "-c", code]
+    proc = subprocess.run(command, env=env, capture_output=True, text=True, check=True, timeout=120)
     return proc.stdout.strip()
+
+
+# Defines blas_threads(): the thread count of numpy's bundled OpenBLAS, or
+# None where it ships none with a known symbol.
+_BLAS_THREADS = """\
+import ctypes, glob, os, numpy
+
+def blas_threads():
+    libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, 'numpy.libs', '*openblas*')
+    for lib in glob.glob(libs):
+        for sym in ('scipy_openblas_get_num_threads64_', 'openblas_get_num_threads64_',
+                    'openblas_get_num_threads'):
+            get = getattr(ctypes.CDLL(lib), sym, None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                return get()
+    return None
+"""
 
 
 def test_cli_import_loads_no_scipy():
@@ -227,25 +250,52 @@ def test_cli_import_loads_no_scipy():
 
 def test_sweep_worker_initializer_sets_one_blas_thread():
     # the environment asks for two threads, so the initializer has work to do
-    out = _python(
-        "import ctypes, glob, os, numpy\n"
-        "from casimir_cylinders import cli\n"
-        "cli._one_blas_thread()\n"
-        "libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, 'numpy.libs', '*openblas*')\n"
-        "for lib in glob.glob(libs):\n"
-        "    for sym in ('scipy_openblas_get_num_threads64_', 'openblas_get_num_threads64_',\n"
-        "                'openblas_get_num_threads'):\n"
-        "        get = getattr(ctypes.CDLL(lib), sym, None)\n"
-        "        if get is not None:\n"
-        "            get.argtypes, get.restype = [], ctypes.c_int\n"
-        "            print(get())\n"
-        "            raise SystemExit\n"
-        "print('none')\n",
-        OPENBLAS_NUM_THREADS="2",
-    )
-    if out == "none":
+    out = _python(_BLAS_THREADS + "from casimir_cylinders import cli\n"
+                  "cli._one_blas_thread()\n"
+                  "print(blas_threads())\n", OPENBLAS_NUM_THREADS="2")
+    if out == "None":
         pytest.skip("numpy ships no OpenBLAS with a known thread-count symbol")
     assert out == "1"
+
+
+# A sweep through cli.main whose rows report, instead of energies, the
+# worker's pid (e_hat), OS thread count (e_tm) and OpenBLAS thread count (e_te).
+_THREAD_PROBE_SWEEP = _BLAS_THREADS + """\
+import multiprocessing, sys, time
+from casimir_cylinders import cli
+
+def probe(geometry, evaluator, t, q):
+    time.sleep(0.1)  # long enough for every worker to take a row
+    return {"e_hat": os.getpid(), "e_tm": len(os.listdir("/proc/self/task")), "e_te": blas_threads(),
+            "est_rel_error": 0.0, "n_max": 0, "nodes": 0}
+
+cli._evaluate = probe
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    print(os.getpid(), blas_threads())
+    cli.main(["sweep", "--family", "concentric", "--alpha", "1.5:1.8:4", "--workers", "2"])
+"""
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_sweep_workers_run_one_blas_thread(tmp_path, method):
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc thread listing")
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("a sweep on one core runs no pool")
+    script = tmp_path / "probe.py"
+    script.write_text(_THREAD_PROBE_SWEEP)
+    parent, *csv = _python(None, str(script), method, OPENBLAS_NUM_THREADS="2").splitlines()
+    parent_pid, parent_blas = parent.split()
+    if parent_blas == "None":
+        pytest.skip("numpy ships no OpenBLAS with a known thread-count symbol")
+    rows = [dict(zip(CSV_COLUMNS, line.split(","))) for line in csv[1:]]
+    assert len(rows) == 4 and parent_pid not in {r["e_hat"] for r in rows}
+    assert {r["e_te"] for r in rows} == {"1"}
+    if method == "fork":
+        # the cap came from the parent: no worker restarted an OpenBLAS helper thread
+        assert {r["e_tm"] for r in rows} == {"1"}
 
 
 def test_sweep_env_caps_workers(tmp_path, capsys, monkeypatch):
@@ -395,20 +445,36 @@ class _RecordingPool:
         return future
 
 
-@pytest.mark.parametrize("alphas, workers, sizes", [
-    ("1.5", "2", [1]),
-    ("1.5,1.6", "8", [2]),
-    ("1.5:1.8:4", "3", [3]),
-    ("1.5,1.6", "1", []),
-])
-def test_sweep_pool_never_exceeds_the_rows(capsys, monkeypatch, alphas, workers, sizes):
+def _recorded_pool_sizes(capsys, monkeypatch, alphas, workers):
+    """Pool sizes a pfa sweep over ``alphas`` asks for; checks its output row count."""
     monkeypatch.delenv("CASIMIR_THREADS", raising=False)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     code, out, _ = run(capsys, "sweep", "--family", "concentric", "--alpha", alphas,
                        "--evaluators", "pfa", "--workers", workers)
-    assert code == 0 and len(out.splitlines()) == 1 + len(alphas.split(",")) * (4 if ":" in alphas else 1)
-    assert _RecordingPool.sizes == sizes
+    assert code == 0 and len(out.splitlines()) == 1 + len(cli._parse_grid(alphas))
+    return _RecordingPool.sizes
+
+
+@pytest.mark.parametrize("alphas, workers, sizes", [
+    ("1.5", "2", []),  # one row runs in the parent
+    ("1.5,1.6", "8", [2]),
+    ("1.5:1.8:4", "3", [3]),
+    ("1.5,1.6", "1", []),
+])
+def test_sweep_pool_never_exceeds_the_rows(capsys, monkeypatch, alphas, workers, sizes):
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda _pid: set(range(64)), raising=False)
+    assert _recorded_pool_sizes(capsys, monkeypatch, alphas, workers) == sizes
+
+
+@pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu_count"])
+def test_sweep_pool_never_exceeds_the_cores(capsys, monkeypatch, affinity):
+    if affinity:
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda _pid: {0, 1, 2}, raising=False)
+    else:  # platforms without affinity masks fall back to the core count
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert _recorded_pool_sizes(capsys, monkeypatch, "1.5:1.9:40", "5000") == [3]
 
 
 def _no_nodes(*_args):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -322,6 +323,19 @@ def test_addition_theorem_against_direct_oracle():
     ]:
         lhs, _ = kernel.addition_theorem_check(x, h, n, p, pol)
         assert lhs == pytest.approx(oracles.addition_sum(x, h, n, p, pol_name), rel=1e-9)
+
+
+def test_addition_sum_recurrences_match_direct_mpmath():
+    # the oracle's recurrence tables at the arguments and orders it uses
+    for x, h, n, p in [(40.0, 1.0, 0, 0), (20.0, 1.0, 2, 1)]:
+        _, top = oracles.addition_top(x, h, n, p)
+        with mp.workdps(mp.mp.dps + 30):
+            for arg in (mp.mpf(x), mp.mpf(x) + mp.mpf(h)):
+                i_table = oracles.bessel_i_downward(top, arg)
+                k_table = oracles.bessel_k_upward(top, arg)
+                for order in (0, 100, top):
+                    assert abs(i_table[order] / mp.besseli(order, arg) - 1) < 1e-25
+                    assert abs(k_table[order] / mp.besselk(order, arg) - 1) < 1e-25
 
 
 def test_addition_theorem_tm_within_one_percent_at_x40():
