@@ -166,6 +166,19 @@ def _piecewise(x, edge, below, above, *args):
     return out
 
 
+def _ladder_entry(x, n_max, below, above, zero_ok=False):
+    """The public ladders' entry: x (0 only if ``zero_ok``) and n_max >= 0 checked,
+    then ``_piecewise`` at ``_SMALL_ARGUMENT`` on the flattened x, shaped like x."""
+    x = _validate_argument(x)
+    if not zero_ok and np.any(x == 0.0):
+        raise ValueError("K_n diverges at x = 0")
+    n_max = int(n_max)
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    out = _piecewise(x.reshape(-1), _SMALL_ARGUMENT, below, above, n_max)
+    return out.reshape(out.shape[:-1] + x.shape)
+
+
 def _log_factorial(n):
     """log n! for the column n = 0, 1, ..., N, as a cumulative sum of logs."""
     return np.cumsum(np.log(np.maximum(n, 1.0)), axis=0)
@@ -190,13 +203,7 @@ def log_i_ladder(x, n_max):
     used instead, whose neglected terms are O(x^4).  x == 0 entries yield
     the exact limits log I_0(0) = 0 and log I_n(0) = -inf for n > 0.
     """
-    x = _validate_argument(x)
-    scalar = x.ndim == 0
-    n_max = int(n_max)
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    out = _piecewise(np.atleast_1d(x), _SMALL_ARGUMENT, _i_small, _i_ladder_above, n_max)
-    return out[:, 0] if scalar else out
+    return _ladder_entry(x, n_max, _i_small, _i_ladder_above, zero_ok=True)
 
 
 def _k_small(x, n_max):
@@ -285,13 +292,7 @@ def log_k_ladder(x, n_max):
     log K_n = log((n-1)!/2) + n log(2/x) (n >= 1) is used instead, exact
     to double precision there.  Requires x > 0.
     """
-    x = _validate_argument(x)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if np.any(x == 0.0):
-        raise ValueError("K_n diverges at x = 0")
-    out = _piecewise(x, _SMALL_ARGUMENT, _k_small, _k_ladder_above, int(n_max))
-    return out[:, 0] if scalar else out
+    return _ladder_entry(x, n_max, _k_small, _k_ladder_above)
 
 
 def _log_derivative(ladder, n_max):
@@ -348,11 +349,7 @@ def log_diag_pair(x, n_max):
     the ratio positive.  Below ``_SMALL_ARGUMENT`` the small-argument
     ladders serve instead.  Requires x > 0.
     """
-    x = _validate_argument(x)
-    if np.any(x == 0.0):
-        raise ValueError("K_n diverges at x = 0")
-    out = _piecewise(x.reshape(-1), _SMALL_ARGUMENT, _diag_small, _diag_above, int(n_max))
-    return out.reshape(out.shape[:-1] + x.shape)
+    return _ladder_entry(x, n_max, _diag_small, _diag_above)
 
 
 def log_di_ladder(x, n_max):

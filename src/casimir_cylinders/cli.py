@@ -328,14 +328,7 @@ def _sweep_row(task, timing):
     except _HANDLED as exc:
         row["status"] = _failure(exc)[3].format(exc=exc, name=type(exc).__name__)
     else:
-        row.update(
-            e_hat=record["e_hat"],
-            e_tm=record["e_tm"],
-            e_te=record["e_te"],
-            est_rel_error=record["est_rel_error"],
-            n_max=record["n_max"],
-            nodes=record["nodes"],
-        )
+        row.update((c, record[c]) for c in CSV_COLUMNS if c in record)
     if timing:
         row["wall_ms"] = int(round(1000.0 * (time.perf_counter() - start)))
     return row

@@ -9,14 +9,14 @@ only ``evaluate(betas, top)``: the TM and TE log-determinant sums at a
 batch of frequencies for every truncation order up to top.  One
 quadrature step (``_eval_factory``) keeps the last evaluation to answer
 every lower order ``_refine`` asks for on the same frequencies, picks
-the orders evaluated by one policy for every family (first the
-refinement rung nearest the predicted order, or n_max without adapt;
-then exactly the order asked for), clips the frequencies at
-``_beta_limit`` and applies the transformed Gauss (or adaptive-panel)
-rule; and ``_refine`` grows the matrix half-bandwidth and the node
-count until the result is stable to the requested tolerance.  Resource
-caps turn a runaway refinement into NoConvergenceError instead of a
-silent bad number.
+the orders evaluated by one policy for every family (first the rung of
+the truncation ladder nearest the predicted order, then exactly the
+order asked for), clips the frequencies at ``_beta_limit`` and applies
+the transformed Gauss (or adaptive-panel) rule; and ``_refine`` climbs
+that one ladder (``_ladder``; fixed truncation is the two-rung ladder
+n_max // 2, n_max), then grows the node count until the result is
+stable to the requested tolerance.  Resource caps turn a runaway
+refinement into NoConvergenceError instead of a silent bad number.
 
 For the dense eccentric and cylinder-plane matrices
 ``kernel.matrix_log_dets`` assembles and factors the whole batch once
@@ -115,18 +115,13 @@ def _predicted_order(g, t):
     return max(1, math.ceil(-math.log(t.rel_tol) / gap(g)))
 
 
-def _first_rung(predicted, n_max, start):
-    """The order nearest ``predicted`` in log on the ladder ``_refine`` climbs from start.
-
-    The ladder counts from its second rung; the cap n_max counts as a rung
-    only when the prediction reaches it.
-    """
-    rungs = [min(_next_order(start), n_max)]
-    while _next_order(rungs[-1]) < n_max:
-        rungs.append(_next_order(rungs[-1]))
-    if predicted >= n_max:
-        rungs.append(n_max)
-    return min(rungs, key=lambda n: abs(math.log(n / predicted)))
+def _first_rung(predicted, rungs):
+    """The order of ``rungs[1:]`` nearest ``predicted`` in log; the cap (the last rung)
+    counts only when the prediction reaches it or when it is the only candidate."""
+    candidates = rungs[1:]
+    if predicted < rungs[-1] and len(candidates) > 1:
+        candidates = candidates[:-1]
+    return min(candidates or rungs, key=lambda n: abs(math.log(n / predicted)))
 
 
 def _eval_factory(g, t, q, evaluate, n_start=_N_START, offset=0.0):
@@ -136,16 +131,16 @@ def _eval_factory(g, t, q, evaluate, n_start=_N_START, offset=0.0):
     log-determinant sums over the orders 0..top, shape
     (len(betas), 2, top+1), and the largest inner-sum cutoff it used.  One
     cache keeps the last evaluation, so a request at n_top <= top on the
-    same frequencies reads entry n_top.  With adapt the first evaluation
-    runs at the rung of the ladder from ``n_start`` nearest the predicted
-    order, without at n_max; a miss and new frequencies (the node doubling
+    same frequencies reads entry n_top.  The first evaluation runs at the
+    rung of ``_ladder`` from ``n_start`` nearest the predicted order
+    (n_max without adapt); a miss and new frequencies (the node doubling
     at the final order) run at exactly n_top.  Frequencies beyond
     ``_beta_limit`` contribute zero and are never evaluated.  ``offset``
     is added to the energy of each polarization.
     """
     decay = 1.0 / (2.0 * gap(g))
     limit = _beta_limit(g)
-    first = _first_rung(_predicted_order(g, t), t.n_max, n_start) if t.adapt else t.n_max
+    first = _first_rung(_predicted_order(g, t), _ladder(t, n_start))
     seen, cum, m_used = None, None, 0
 
     def sums(betas, n_top):
@@ -267,6 +262,17 @@ def _next_order(n):
     return max(n + 8, (3 * n) // 2)
 
 
+def _ladder(t, start=_N_START):
+    """The truncation orders ``_refine`` evaluates: with adapt from ``start`` (at least 16)
+    by ``_next_order``, the cap n_max clipping the last step; without, n_max // 2 and n_max."""
+    if not t.adapt:
+        return [max(1, t.n_max // 2), t.n_max]
+    rungs = [min(max(start, _N_START), t.n_max)]
+    while rungs[-1] < t.n_max:
+        rungs.append(min(_next_order(rungs[-1]), t.n_max))
+    return rungs
+
+
 def _check_node_cap(nodes):
     if 2 * nodes > NODE_CAP:
         raise NoConvergenceError(f"node cap {NODE_CAP} reached without quadrature convergence")
@@ -282,35 +288,27 @@ def _refine(eval_at, t, q, n_start=_N_START, accelerated=False):
     # the truncation ladder below would be wasted work.
     _check_node_cap(q.node_count)
 
-    # Grow the truncation order on the base grid (factor 1.5 keeps the
-    # certificate fine-grained near the cap) until the last step moves
-    # the total by less than rel_tol.  When the cap clips a step the
+    # Climb the truncation ladder on the base grid (factor 1.5 keeps the
+    # certificate fine-grained near the cap).  With adapt, stop once a step
+    # moves the total by less than rel_tol; when the cap clips a step the
     # threshold shrinks proportionally, so a sliver of a step cannot fake
     # convergence.
-    if t.adapt:
-        n = min(max(n_start, _N_START), t.n_max)
-        e_tm, e_te, _ = eval_at(n, q.node_count)
-        trunc_delta = math.inf
-        converged = False
-        while n < t.n_max:
-            planned = _next_order(n)
-            n_next = min(planned, t.n_max)
-            fraction = (n_next - n) / (planned - n)
-            e_tm2, e_te2, _ = eval_at(n_next, q.node_count)
-            trunc_delta = _rel_delta(e_tm2 + e_te2, e_tm + e_te)
-            n, e_tm, e_te = n_next, e_tm2, e_te2
-            if trunc_delta <= rel_tol * fraction:
-                converged = True
-                break
-        if not converged:
+    rungs = _ladder(t, n_start)
+    n = rungs[0]
+    e_tm, e_te, _ = eval_at(n, q.node_count)
+    trunc_delta = math.inf
+    for n_next in rungs[1:]:
+        fraction = (n_next - n) / (_next_order(n) - n)
+        e_tm2, e_te2, _ = eval_at(n_next, q.node_count)
+        trunc_delta = _rel_delta(e_tm2 + e_te2, e_tm + e_te)
+        n, e_tm, e_te = n_next, e_tm2, e_te2
+        if t.adapt and trunc_delta <= rel_tol * fraction:
+            break
+    else:
+        if t.adapt:
             raise NoConvergenceError(
                 f"truncation cap n_max = {t.n_max} reached with relative change {trunc_delta:.2e}"
             )
-    else:
-        n = t.n_max
-        lo_tm, lo_te, _ = eval_at(max(1, n // 2), q.node_count)
-        e_tm, e_te, _ = eval_at(n, q.node_count)
-        trunc_delta = _rel_delta(e_tm + e_te, lo_tm + lo_te)
 
     # Grow the node count at the final order.
     nodes = q.node_count

@@ -47,7 +47,8 @@ NonContractiveError.  The factor of a block at order N holds the factor
 of every leading minor, so the cumulative sums of 2 log diag L give
 ln det(1 - A) at every order n <= N from one assembly.  The
 single-frequency builders unfold the same factors into the full
-(2N+1)^2 matrix.
+(2N+1)^2 matrix, and ``addition_theorem_check`` (used by ``selftest``
+and the tests) reads its inner sum off them too.
 """
 
 import math
@@ -425,34 +426,24 @@ def addition_theorem_check(x, h, n, p, pol):
     lhs = sum_m (K_m(x+h)/I_m(x+h)) I_{n-m}(x) I_{p-m}(x)  (primed for TE)
     rhs = +K_{n+p}(2h) for TM, -K_{n+p}(2h) for TE.
 
-    The relative deviation vanishes as x/h grows; used by tests only.
-    The summand has a secondary hump near |m| ~ x, so the cutoff grows
-    with x and is extended until the edge terms are negligible.
+    The lhs is read off the production assembler: one frequency
+    beta = h/2 of the eccentric shells with alpha beta = x + h and
+    delta beta = x, entry G_|n||p| (G' when n p < 0) scaled by its column
+    maxima in log space, with the inner sum closed to 1e-14.  The relative
+    deviation vanishes as x/h grows; ``selftest`` and the tests use it.
     """
     if x <= 0.0 or h <= 0.0:
         raise ValueError("x and h must be positive")
-    m_cut = max(64, math.ceil(4.0 * x)) + abs(n) + abs(p)
-    while True:
-        log_c = -log_diag_pair(x + h, m_cut)[_POLARIZATIONS.index(pol)]
-        log_i = log_i_ladder(x, m_cut + max(abs(n), abs(p)))
-        m_vals = np.arange(-m_cut, m_cut + 1)
-        terms = (
-            log_c[np.abs(m_vals)]
-            + log_i[np.abs(n - m_vals)]
-            + log_i[np.abs(p - m_vals)]
-        )
-        peak = terms.max()
-        total = peak + math.log(np.exp(terms - peak).sum())
-        if max(terms[0], terms[-1]) - total < math.log(1e-14):
-            break
-        m_cut *= 2
-        if m_cut > 100_000:
-            raise TruncationError("addition-theorem sum did not close")
-    magnitude = math.exp(total)
+    beta, pol_i, top = 0.5 * h, _POLARIZATIONS.index(pol), max(abs(n), abs(p), 1)
+    t = TruncationSpec(n_max=top, m_max=100_000, rel_tol=1e-14)
+    g = Eccentric((x + h) / beta, x / beta)  # valid: alpha - 1 - delta = h / beta - 1 = 1
+    _, log_w, gram, gram_r, _ = next(_matrix_grams(np.array([beta]), g, t, (pol_i,)))
+    col = log_w[0] - 0.5 * log_diag_pair(beta, top)[pol_i]
+    entry = (gram if n * p >= 0 else gram_r)[0, abs(n), abs(p)]
+    magnitude = math.exp(col[abs(n)] + col[abs(p)] + math.log(entry))
     rhs_mag = math.exp(log_k_ladder(2.0 * h, abs(n + p))[abs(n + p)])
-    if pol is Polarization.TM:
-        return magnitude, rhs_mag
-    return -magnitude, -rhs_mag
+    sign = 1.0 if pol is Polarization.TM else -1.0
+    return sign * magnitude, sign * rhs_mag
 
 
 def log_det_one_minus(mat):

@@ -21,22 +21,21 @@ __all__ = ["gauss_legendre_01", "semi_infinite_nodes", "integrate_semi_infinite"
 
 
 @lru_cache(maxsize=64)
-def _leggauss(n):
-    x, w = np.polynomial.legendre.leggauss(int(n))
-    return x, w
-
-
 def gauss_legendre_01(n):
-    """Gauss-Legendre nodes and weights on (0, 1)."""
-    x, w = _leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    """Gauss-Legendre nodes and weights on (0, 1), cached and read-only."""
+    x, w = np.polynomial.legendre.leggauss(int(n))
+    u, wu = 0.5 * (x + 1.0), 0.5 * w
+    u.flags.writeable = wu.flags.writeable = False
+    return u, wu
 
 
-def semi_infinite_nodes(decay_scale, node_count):
-    """Nodes and weights for integral(0, inf) with decay length decay_scale."""
+def semi_infinite_nodes(decay_scale, node_count, a=0.0, b=1.0):
+    """Nodes and weights for integral(0, inf) with decay length decay_scale, from the
+    Gauss rule on (a, b) of u in beta = decay_scale u / (1 - u); (0, 1) is the whole axis."""
     u, wu = gauss_legendre_01(node_count)
+    u = a + (b - a) * u
     beta = decay_scale * u / (1.0 - u)
-    weights = decay_scale * wu / (1.0 - u) ** 2
+    weights = (b - a) * decay_scale * wu / (1.0 - u) ** 2
     return beta, weights
 
 
@@ -57,10 +56,7 @@ def integrate_semi_infinite(f, decay_scale, spec):
 
 
 def _panel(f, scale, a, b, n):
-    u, wu = gauss_legendre_01(n)
-    uu = a + (b - a) * u
-    beta = scale * uu / (1.0 - uu)
-    w = (b - a) * scale * wu / (1.0 - uu) ** 2
+    beta, w = semi_infinite_nodes(scale, n, a, b)
     return np.dot(w, f(beta))
 
 

@@ -78,24 +78,23 @@ class CorrugationSpec:
 class ProfileJ:
     """Profile function J(d/lambda), either constant or tabulated.
 
-    Tabulated profiles interpolate linearly and extrapolate flat at the
-    range ends.
+    Tables interpolate linearly and extrapolate flat at the range ends; a
+    constant is the flat two-point table.  Every entry must be finite.
     """
 
     def __init__(self, ratios=None, values=None, constant=None):
         if constant is not None:
-            self._const = float(constant)
-            self._ratios = None
-        else:
-            ratios = np.asarray(ratios, dtype=float)
-            values = np.asarray(values, dtype=float)
-            if ratios.ndim != 1 or ratios.shape != values.shape or ratios.size < 2:
-                raise ValueError("need matching 1-d tables with at least two points")
-            if np.any(np.diff(ratios) <= 0.0):
-                raise ValueError("table abscissas must increase")
-            self._const = None
-            self._ratios = ratios
-            self._values = values
+            ratios, values = (0.0, 1.0), (constant, constant)
+        ratios = np.asarray(ratios, dtype=float)
+        values = np.asarray(values, dtype=float)
+        if ratios.ndim != 1 or ratios.shape != values.shape or ratios.size < 2:
+            raise ValueError("need matching 1-d tables with at least two points")
+        if not (np.isfinite(ratios).all() and np.isfinite(values).all()):
+            raise ValueError("profile table entries must be finite")
+        if np.any(np.diff(ratios) <= 0.0):
+            raise ValueError("table abscissas must increase")
+        self._ratios = ratios
+        self._values = values
 
     @classmethod
     def constant(cls, value=1.0):
@@ -114,8 +113,6 @@ class ProfileJ:
         return cls.from_table(np.loadtxt(path, ndmin=2))
 
     def __call__(self, ratio):
-        if self._const is not None:
-            return self._const if np.isscalar(ratio) else np.full_like(np.asarray(ratio, float), self._const)
         return np.interp(ratio, self._ratios, self._values)
 
 

@@ -42,6 +42,12 @@ def test_bessel_k_domain_error():
         bessel.bessel_k(2, -1.0)
 
 
+@pytest.mark.parametrize("ladder", [bessel.log_i_ladder, bessel.log_k_ladder, bessel.log_diag_pair])
+def test_ladders_reject_negative_order(ladder):
+    with pytest.raises(ValueError, match="n_max must be nonnegative"):
+        ladder(1.0, -1)
+
+
 def test_bessel_k_strictly_decreasing_in_x():
     xs = np.linspace(0.1, 30.0, 40)
     for n in (0, 1, 5):

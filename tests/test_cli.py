@@ -384,6 +384,8 @@ _RACKPINION = ["rackpinion", "--amplitude", "1e-8", "--wavelength", "1e-6", "--d
     (["sweep", "--family", "concentric", "--alpha", "1.3", "--config", "{tmp}/c.json"],
      {"c.json": '{"nodes": null}'}),
     (_RACKPINION + ["--j-table", "{tmp}/j.txt"], {"j.txt": "0.5\n1.0\n2.0\n"}),
+    (_RACKPINION + ["--j-table", "{tmp}/j.txt"], {"j.txt": "0.5 nan\n1.0 2.0\n2.0 inf\n"}),
+    (_RACKPINION + ["--j-table", "{tmp}/j.txt"], {"j.txt": "nan 1.0\n1.0 2.0\n2.0 4.0\n"}),
     (["concentric", "--alpha", "2", "--config", "{tmp}/c.json"], {"c.json": '{"nodes": 1e400}'}),
     (["concentric", "--alpha", "2", "--config", "{tmp}/c.json"], {"c.json": '{"nodes": 64.9}'}),
     (["concentric", "--alpha", "2", "--rel-tol", "inf"], {}),

@@ -422,6 +422,45 @@ def test_hopeless_matrix_shape_fails_before_any_assembly(monkeypatch):
         energy_exact(Eccentric(2.0, 0.999))
 
 
+def test_quadrature_doubles_until_stable():
+    # 8 -> 16 -> 32 nodes: the node loop of _refine runs a second pass
+    result = energy_exact(Concentric(1.3), q=QuadratureSpec(node_count=8))
+    assert result.converged and result.report.node_count_final == 32
+
+
+def test_node_cap_inside_the_doubling_loop(monkeypatch):
+    # 8 -> 16 nodes is allowed under a cap of 16, but the next doubling is not
+    monkeypatch.setattr(engine, "NODE_CAP", 16)
+    with pytest.raises(NoConvergenceError, match="node cap 16"):
+        energy_exact(Concentric(1.3), q=QuadratureSpec(node_count=8))
+
+
+@pytest.mark.parametrize("t, start, rungs", [
+    (TruncationSpec(n_max=100), 16, [16, 24, 36, 54, 81, 100]),
+    (TruncationSpec(n_max=100), 4, [16, 24, 36, 54, 81, 100]),  # never below 16
+    (TruncationSpec(n_max=512), 750, [512]),  # start >= n_max: one rung
+    (TruncationSpec(n_max=12), 16, [12]),
+    (TruncationSpec(n_max=40, adapt=False), 16, [20, 40]),
+    (TruncationSpec(n_max=1, adapt=False), 16, [1, 1]),
+])
+def test_truncation_ladder(t, start, rungs):
+    assert engine._ladder(t, start) == rungs
+
+
+@pytest.mark.parametrize("predicted, rungs, first", [
+    (54, [16, 24, 36, 54, 81, 100], 54),
+    (90, [16, 24, 36, 54, 81, 100], 81),  # the cap counts only once predicted reaches it
+    (100, [16, 24, 36, 54, 81, 100], 100),
+    (1000, [16, 24, 36, 54, 81, 100], 100),
+    (3, [16, 24, 36, 54, 81, 100], 24),  # never the starting rung
+    (5, [512], 512),  # a one-rung ladder has only the cap
+    (1, [16, 20], 20),  # the cap as the only candidate
+    (7, [20, 40], 40),  # fixed truncation evaluates n_max first
+])
+def test_first_rung(predicted, rungs, first):
+    assert engine._first_rung(predicted, rungs) == first
+
+
 # The engine names the benchmark tracer wraps (perfbench/tracer.py); a
 # refactor that drops one would silently blank a benchmark layer.
 TRACED_ENGINE_NAMES = ("energy_exact", "energy_concentric_accelerated", "_refine", "semi_infinite_nodes")

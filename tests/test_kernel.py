@@ -320,9 +320,17 @@ def test_addition_theorem_against_direct_oracle():
         (40.0, 1.0, 0, 0, "TM", TM),
         (40.0, 1.0, 0, 0, "TE", TE),
         (20.0, 1.0, 2, 1, "TM", TM),
+        (20.0, 1.0, 2, -1, "TE", TE),  # n p < 0: the reflected Gram G'
     ]:
         lhs, _ = kernel.addition_theorem_check(x, h, n, p, pol)
         assert lhs == pytest.approx(oracles.addition_sum(x, h, n, p, pol_name), rel=1e-9)
+
+
+def test_addition_theorem_reads_large_entries_in_log_space():
+    # the entry scaled by its column maxima, combined in log space: d_n or
+    # an unscaled entry would overflow at these orders
+    lhs, _ = kernel.addition_theorem_check(5.0, 0.2, 60, 60, TM)
+    assert lhs == pytest.approx(2.1380836479592145e+280, rel=1e-12)
 
 
 def test_addition_sum_recurrences_match_direct_mpmath():

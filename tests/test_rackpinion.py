@@ -171,6 +171,24 @@ def test_profile_table_interpolation():
     assert profile(9.0) == 4.0
 
 
+def test_constant_profile_is_exact_everywhere():
+    profile = ProfileJ.constant(0.7)
+    assert profile(0.3) == 0.7
+    assert profile(-5.0) == profile(1e9) == 0.7  # outside the two-point table
+    values = profile(np.array([[0.0, 0.5], [2.0, 1e-12]]))
+    assert values.shape == (2, 2) and np.all(values == 0.7)
+
+
+@pytest.mark.parametrize("table", [
+    [[0.5, float("nan")], [1.0, 2.0]],
+    [[0.5, 1.0], [1.0, float("inf")]],
+    [[float("nan"), 1.0], [1.0, 2.0]],
+])
+def test_profile_rejects_non_finite_tables(table):
+    with pytest.raises(ValueError, match="finite"):
+        ProfileJ.from_table(table)
+
+
 def test_profile_file_round_trip(tmp_path):
     path = tmp_path / "j.dat"
     path.write_text("0.5 1.0\n1.0 2.0\n2.0 4.0\n")
