@@ -410,9 +410,6 @@ def _exp_checked(log_value, what):
 
 def bessel_i(n, x):
     """Modified Bessel function I_n(x) of integer order, x >= 0."""
-    n = _check_order(n)
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
     return _exp_checked(log_bessel_i(n, x), "I_n(x)")
 
 
@@ -424,8 +421,6 @@ def bessel_k(n, x):
 def bessel_i_prime(n, x):
     """I'_n(x) = (I_{n-1}(x) + I_{n+1}(x))/2."""
     n = _check_order(n)
-    if x == 0.0:
-        return 0.5 if n == 1 else 0.0
     return _exp_checked(float(log_di_ladder(_check_scalar_argument(x), n)[n]), "I'_n(x)")
 
 

@@ -116,10 +116,6 @@ def _failure(exc):
     return next(row for row in _FAILURES if isinstance(exc, row[0]))
 
 
-def _fmt(value):
-    return format(float(value), ".9g")
-
-
 def _flag(name):
     return "--" + name.replace("_", "-")
 
@@ -235,7 +231,7 @@ def _cmd_energy(args):
         record["energy_joules"] = to_physical(record["e_hat"], args.a_meters, args.l_meters)
 
     if args.dump_matrix and not isinstance(geometry, Concentric):
-        _dump_matrix(geometry, t, q, args.dump_matrix)
+        _dump_matrix(geometry, t, args.dump_matrix)
         record["matrix_dump"] = args.dump_matrix
     return _print_record(record, args.format)
 
@@ -250,7 +246,7 @@ def _print_record(record, fmt):
     return EXIT_OK
 
 
-def _dump_matrix(geometry, t, q, path):
+def _dump_matrix(geometry, t, path):
     """Debug dump of one spectral matrix at a representative frequency."""
     beta = 1.0 / (2.0 * gap(geometry))
     build = (
@@ -336,7 +332,7 @@ def _sweep_row(task, timing):
 
 def _format_cell(value):
     if isinstance(value, float):
-        return _fmt(value)
+        return format(float(value), ".9g")
     return str(value)
 
 

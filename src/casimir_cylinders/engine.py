@@ -11,10 +11,10 @@ quadrature step (``_eval_factory``) keeps the last evaluation to answer
 every lower order ``_refine`` asks for on the same frequencies, picks
 the orders evaluated by one policy for every family (first the rung of
 the truncation ladder nearest the predicted order, then exactly the
-order asked for), clips the frequencies at ``_beta_limit`` and applies
-the transformed Gauss (or adaptive-panel) rule; and ``_refine`` climbs
-that one ladder (``_ladder``; fixed truncation is the two-rung ladder
-n_max // 2, n_max), then grows the node count until the result is
+order asked for), clips the frequencies at ``_beta_limit`` and chooses
+the quadrature rule (transformed Gauss or adaptive panels); ``_refine``
+climbs that one ladder (``_ladder``; fixed truncation is n_max // 2,
+n_max, order 0 allowed), then grows the node count until the result is
 stable to the requested tolerance.  Resource caps turn a runaway
 refinement into NoConvergenceError instead of a silent bad number.
 
@@ -56,7 +56,7 @@ from .geometry import (
     gap,
     validate,
 )
-from .quadrature import integrate_semi_infinite, semi_infinite_nodes
+from .quadrature import adaptive_panels, semi_infinite_nodes
 
 __all__ = [
     "NoConvergenceError",
@@ -164,8 +164,7 @@ def _eval_factory(g, t, q, evaluate, n_start=_N_START, offset=0.0):
             return out
 
         if q.rule is QuadratureRule.ADAPTIVE_PANEL:
-            spec = replace(q, node_count=node_count)
-            e_tm, e_te = integrate_semi_infinite(weighted, decay, spec)
+            e_tm, e_te = adaptive_panels(weighted, q.scale * decay, node_count)
         else:
             betas, w = semi_infinite_nodes(q.scale * decay, node_count)
             e_tm, e_te = np.dot(w, weighted(betas))
@@ -264,9 +263,10 @@ def _next_order(n):
 
 def _ladder(t, start=_N_START):
     """The truncation orders ``_refine`` evaluates: with adapt from ``start`` (at least 16)
-    by ``_next_order``, the cap n_max clipping the last step; without, n_max // 2 and n_max."""
+    by ``_next_order``, the cap n_max clipping the last step; without, n_max // 2 (0 allowed)
+    and n_max, so a fixed ladder never compares an order with itself."""
     if not t.adapt:
-        return [max(1, t.n_max // 2), t.n_max]
+        return [t.n_max // 2, t.n_max]
     rungs = [min(max(start, _N_START), t.n_max)]
     while rungs[-1] < t.n_max:
         rungs.append(min(_next_order(rungs[-1]), t.n_max))
@@ -302,7 +302,7 @@ def _refine(eval_at, t, q, n_start=_N_START, accelerated=False):
         e_tm2, e_te2, _ = eval_at(n_next, q.node_count)
         trunc_delta = _rel_delta(e_tm2 + e_te2, e_tm + e_te)
         n, e_tm, e_te = n_next, e_tm2, e_te2
-        if t.adapt and trunc_delta <= rel_tol * fraction:
+        if trunc_delta <= rel_tol * fraction:
             break
     else:
         if t.adapt:
@@ -383,7 +383,7 @@ def energy_concentric_accelerated(g, t=None, q=None):
     # n ~ 1/(alpha-1) before decaying; starting the refinement ladder
     # beyond the hump keeps the small early deltas from faking
     # convergence against the tilde-dominated total.
-    n_start = max(_N_START, math.ceil(1.5 / (g.alpha - 1.0)))
+    n_start = math.ceil(1.5 / (g.alpha - 1.0))
     evaluate = _concentric_integrand(g, accelerated=True)
     eval_at = _eval_factory(g, t, q, evaluate, n_start, offset=0.5 * tilde_energy(g.alpha))
     return _refine(eval_at, t, q, n_start=n_start, accelerated=True)

@@ -206,6 +206,8 @@ class QuadratureSpec:
             raise ValueError("scale must be positive")
         if not math.isfinite(self.scale):
             raise ValueError(f"scale = {self.scale} must be finite")
+        if not isinstance(self.rule, QuadratureRule):
+            raise ValueError(f"rule = {self.rule!r} must be a QuadratureRule")
 
 
 @dataclass(frozen=True)

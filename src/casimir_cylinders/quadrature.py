@@ -7,17 +7,16 @@ rule maps Gauss-Legendre nodes u in (0, 1) through the rational transform
 
 under which exponentially decaying integrands are handled to near machine
 precision with ~64 nodes (a logarithmic map would leave an endpoint
-singularity and only algebraic convergence).  An adaptive bisection rule
-over the same mapped variable is available as a cross-check.
+singularity and only algebraic convergence).  ``adaptive_panels``, a
+bisection rule over the same mapped variable, is a cross-check; the
+engine picks which of the two rules runs.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from .geometry import QuadratureRule
-
-__all__ = ["gauss_legendre_01", "semi_infinite_nodes", "integrate_semi_infinite"]
+__all__ = ["gauss_legendre_01", "semi_infinite_nodes", "adaptive_panels"]
 
 
 @lru_cache(maxsize=64)
@@ -39,31 +38,21 @@ def semi_infinite_nodes(decay_scale, node_count, a=0.0, b=1.0):
     return beta, weights
 
 
-def integrate_semi_infinite(f, decay_scale, spec):
-    """Integrate f over (0, inf) per the given QuadratureSpec.
-
-    f must accept a 1-d array of abscissas and return integrand values,
-    either shape (len(beta),) or (len(beta), k) for k simultaneous
-    integrands.
-    """
-    scale = decay_scale * spec.scale
-    if spec.rule is QuadratureRule.TRANSFORMED_GAUSS:
-        beta, w = semi_infinite_nodes(scale, spec.node_count)
-        return np.dot(w, f(beta))
-    if spec.rule is QuadratureRule.ADAPTIVE_PANEL:
-        return _adaptive_panels(f, scale, spec.node_count)
-    raise ValueError(f"unknown quadrature rule {spec.rule!r}")
-
-
 def _panel(f, scale, a, b, n):
     beta, w = semi_infinite_nodes(scale, n, a, b)
     return np.dot(w, f(beta))
 
 
-def _adaptive_panels(f, scale, node_count, rel_tol=1e-10, max_depth=24):
-    """Recursive bisection in the mapped variable, Gauss panel per half."""
+def adaptive_panels(f, scale, node_count, rel_tol=1e-10, max_depth=24):
+    """Integral of f over (0, inf) with decay length scale by recursive bisection in
+    the mapped variable, a Gauss panel per half.
+
+    f maps a 1-d array of abscissas to values of shape (len(beta),) or
+    (len(beta), k) for k simultaneous integrands.
+    """
     n = max(8, min(node_count, 64))
-    total_ref = np.max(np.abs(_panel(f, scale, 0.0, 1.0, n)))
+    coarse = _panel(f, scale, 0.0, 1.0, n)
+    total_ref = np.max(np.abs(coarse))
 
     def recurse(a, b, coarse, depth):
         mid = 0.5 * (a + b)
@@ -75,5 +64,4 @@ def _adaptive_panels(f, scale, node_count, rel_tol=1e-10, max_depth=24):
             return fine
         return recurse(a, mid, left, depth + 1) + recurse(mid, b, right, depth + 1)
 
-    coarse = _panel(f, scale, 0.0, 1.0, n)
     return recurse(0.0, 1.0, coarse, 0)

@@ -23,6 +23,11 @@ def test_bessel_i_example_values():
     assert bessel.bessel_i(0, 0.0) == 1.0
 
 
+def test_bessel_i_prime_at_zero_is_exact():
+    # the x = 0 limits come from the exact small-argument ladder
+    assert [bessel.bessel_i_prime(n, 0.0) for n in range(4)] == [0.0, 0.5, 0.0, 0.0]
+
+
 def test_bessel_i_reflection_bit_identical():
     for n in (1, 3, 17, 64):
         for x in (1e-3, 2.5, 40.0):

@@ -441,10 +441,20 @@ def test_node_cap_inside_the_doubling_loop(monkeypatch):
     (TruncationSpec(n_max=512), 750, [512]),  # start >= n_max: one rung
     (TruncationSpec(n_max=12), 16, [12]),
     (TruncationSpec(n_max=40, adapt=False), 16, [20, 40]),
-    (TruncationSpec(n_max=1, adapt=False), 16, [1, 1]),
+    (TruncationSpec(n_max=1, adapt=False), 16, [0, 1]),  # order 0 is a rung, never 1 against 1
 ])
 def test_truncation_ladder(t, start, rungs):
     assert engine._ladder(t, start) == rungs
+
+
+def test_fixed_n_max_1_is_not_certified():
+    # order 1 is compared with order 0, not with itself; the energy is the
+    # order-1 truncation of the converged -45.1
+    r = energy_exact(Concentric(1.3), TruncationSpec(n_max=1, adapt=False))
+    assert not r.converged
+    assert r.est_rel_error == pytest.approx(0.64, rel=0.01)
+    assert r.e_hat == pytest.approx(-17.42, rel=1e-3)
+    assert r.report.n_max_final == 1
 
 
 @pytest.mark.parametrize("predicted, rungs, first", [

@@ -146,3 +146,6 @@ def test_quadrature_spec_invariants():
     for value in (math.inf, math.nan):
         with pytest.raises(ValueError, match="scale"):
             QuadratureSpec(scale=value)
+    for value in ("adaptive-panel", 5):  # the enum's value is not the enum
+        with pytest.raises(ValueError, match="rule"):
+            QuadratureSpec(rule=value)

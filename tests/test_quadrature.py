@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from casimir_cylinders.geometry import QuadratureRule, QuadratureSpec
 from casimir_cylinders.quadrature import (
+    adaptive_panels,
     gauss_legendre_01,
-    integrate_semi_infinite,
     semi_infinite_nodes,
 )
 
@@ -23,24 +22,38 @@ def test_semi_infinite_exponential_moments():
 
 
 def test_transformed_gauss_spec_integration():
-    spec = QuadratureSpec(node_count=96, scale=1.0)
-    value = integrate_semi_infinite(lambda b: b * np.exp(-3.0 * b), 1.0 / 3.0, spec)
+    beta, w = semi_infinite_nodes(1.0 / 3.0, 96)
+    value = np.dot(w, beta * np.exp(-3.0 * beta))
     assert value == pytest.approx(1.0 / 9.0, rel=1e-10)
 
 
 def test_adaptive_panel_matches_gauss():
-    gauss = QuadratureSpec(node_count=128, scale=1.0)
-    panel = QuadratureSpec(node_count=32, scale=1.0, rule=QuadratureRule.ADAPTIVE_PANEL)
     f = lambda b: b ** 2 * np.exp(-b) * np.cos(0.3 * b)
-    a = integrate_semi_infinite(f, 1.0, gauss)
-    b = integrate_semi_infinite(f, 1.0, panel)
+    beta, w = semi_infinite_nodes(1.0, 128)
+    a = np.dot(w, f(beta))
+    b = adaptive_panels(f, 1.0, 32)
     assert b == pytest.approx(a, rel=1e-8)
 
 
 def test_vector_valued_integrand():
-    spec = QuadratureSpec(node_count=64)
     f = lambda b: np.stack([np.exp(-b), b * np.exp(-b)], axis=-1)
-    out = integrate_semi_infinite(f, 1.0, spec)
+    beta, w = semi_infinite_nodes(1.0, 64)
+    out = np.dot(w, f(beta))
     assert out.shape == (2,)
     assert out[0] == pytest.approx(1.0, rel=1e-12)
     assert out[1] == pytest.approx(1.0, rel=1e-11)
+
+
+def test_adaptive_panels_evaluate_each_panel_once():
+    seen = []
+
+    def f(b):
+        seen.append(b.copy())
+        return np.stack([np.exp(-b), b * np.exp(-b)], axis=-1)
+
+    out = adaptive_panels(f, 1.0, 16)
+    assert out.shape == (2,)
+    assert out == pytest.approx([1.0, 1.0], rel=1e-8)
+    assert len(seen) >= 3  # the root panel and at least one bisection
+    for i, a in enumerate(seen):
+        assert not any(np.array_equal(a, b) for b in seen[i + 1:])
