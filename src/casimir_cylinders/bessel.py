@@ -370,31 +370,23 @@ class ScaledBesselPair:
     log_k: float
 
 
-def _check_order(n):
-    n = int(n)
-    if abs(n) > MAX_ORDER:
+def _scalar(ladder, n, x):
+    """``ladder(x, |n|)[|n|]`` as a float, for |n| <= MAX_ORDER and 0 <= x <= MAX_ARGUMENT
+    (I_{-n} = I_n, K_{-n} = K_n for integer order; the K ladders reject x = 0)."""
+    n = abs(int(n))
+    if n > MAX_ORDER:
         raise ValueError(f"order |n| <= {MAX_ORDER} supported")
-    return abs(n)  # I_{-n} = I_n, K_{-n} = K_n for integer order
-
-
-def _check_scalar_argument(x):
-    x = float(x)
-    _validate_argument(x, cap=MAX_ARGUMENT)
-    return x
+    return float(ladder(_validate_argument(float(x), cap=MAX_ARGUMENT), n)[n])
 
 
 def log_bessel_i(n, x):
     """log I_n(x) with exact integer-order reflection; -inf at x = 0, n != 0."""
-    n = _check_order(n)
-    return float(log_i_ladder(_check_scalar_argument(x), n)[n])
+    return _scalar(log_i_ladder, n, x)
 
 
 def log_bessel_k(n, x):
     """log K_n(x); raises for x <= 0."""
-    n = _check_order(n)
-    if x <= 0.0:
-        raise ValueError("K_n requires x > 0")
-    return float(log_k_ladder(_check_scalar_argument(x), n)[n])
+    return _scalar(log_k_ladder, n, x)
 
 
 def scaled_bessel_pair(n, x):
@@ -420,16 +412,12 @@ def bessel_k(n, x):
 
 def bessel_i_prime(n, x):
     """I'_n(x) = (I_{n-1}(x) + I_{n+1}(x))/2."""
-    n = _check_order(n)
-    return _exp_checked(float(log_di_ladder(_check_scalar_argument(x), n)[n]), "I'_n(x)")
+    return _exp_checked(_scalar(log_di_ladder, n, x), "I'_n(x)")
 
 
 def bessel_k_prime(n, x):
     """K'_n(x) = -(K_{n-1}(x) + K_{n+1}(x))/2, always negative."""
-    n = _check_order(n)
-    if x <= 0.0:
-        raise ValueError("K'_n requires x > 0")
-    return -_exp_checked(float(log_dk_ladder(_check_scalar_argument(x), n)[n]), "K'_n(x)")
+    return -_exp_checked(_scalar(log_dk_ladder, n, x), "K'_n(x)")
 
 
 # ---------------------------------------------------------------------------

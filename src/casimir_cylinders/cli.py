@@ -30,6 +30,7 @@ would restart a spinning OpenBLAS helper thread in each worker).
 
 import argparse
 import concurrent.futures
+import contextlib
 import functools
 import itertools
 import json
@@ -102,7 +103,8 @@ CSV_COLUMNS = (
     "status",
 )
 
-DEFAULTS = {"rel_tol": 1e-4, "nodes": 128, "scale": 1.0, "rule": "transformed-gauss"}
+DEFAULTS = {"rel_tol": TruncationSpec.rel_tol, "nodes": QuadratureSpec.node_count,
+            "scale": QuadratureSpec.scale, "rule": QuadratureSpec.rule.value}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -169,10 +171,15 @@ def _specs(settings):
     return t, q
 
 
+def _check_evaluator(evaluator, cls):
+    """Every evaluator but exact serves concentric shells only."""
+    if evaluator != "exact" and not issubclass(cls, Concentric):
+        raise ValueError(f"evaluator {evaluator!r} applies to concentric shells only")
+
+
 def _evaluate(geometry, evaluator, t, q):
     """Returns a plain dict shared by single-point and sweep output."""
-    if evaluator != "exact" and not isinstance(geometry, Concentric):
-        raise ValueError(f"evaluator {evaluator!r} applies to concentric shells only")
+    _check_evaluator(evaluator, type(geometry))
     if evaluator in ANALYTIC_EVALUATORS:
         e_hat = ANALYTIC_EVALUATORS[evaluator](geometry.alpha)
         return {
@@ -294,6 +301,7 @@ def _sweep_tasks(args):
     for ev in evaluators:
         if ev not in ALL_EVALUATORS:
             raise ValueError(f"unknown evaluator {ev!r}")
+        _check_evaluator(ev, cls)
     # validate every grid point up front: a sweep with an invalid point
     # is a usage error, not a partial failure
     geometries = [validate(cls(*point)) for point in itertools.product(*(grids[n] for n in names))]
@@ -304,20 +312,10 @@ def _sweep_tasks(args):
 def _sweep_row(task, timing):
     family, geometry, evaluator, (t, q) = task
     shape = asdict(geometry)
-    row = {
-        "geometry_family": family,
-        "alpha": shape.get("alpha", 0.0),
-        "delta_or_h": shape.get("delta", shape.get("h_over_a", 0.0)),
-        "evaluator": evaluator,
-        "e_hat": "",
-        "e_tm": "",
-        "e_te": "",
-        "est_rel_error": "",
-        "n_max": 0,
-        "nodes": 0,
-        "wall_ms": 0,
-        "status": "ok",
-    }
+    row = dict.fromkeys(CSV_COLUMNS, "")  # the energy columns stay empty on failure
+    row.update(geometry_family=family, alpha=shape.get("alpha", 0.0),
+               delta_or_h=shape.get("delta", shape.get("h_over_a", 0.0)), evaluator=evaluator,
+               n_max=0, nodes=0, wall_ms=0, status="ok")
     start = time.perf_counter()
     try:
         record = _evaluate(geometry, evaluator, t, q)
@@ -398,28 +396,25 @@ def _cmd_sweep(args):
             workers = min(workers, max(1, int(env_cap)))
         except ValueError:
             raise ValueError(f"CASIMIR_THREADS must be an integer, got {env_cap!r}") from None
-    if workers > 1:
-        _build_node_tables(tasks)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
-            futures = [pool.submit(_sweep_row, task, args.timing) for task in tasks]
-            rows = [f.result() for f in futures]  # submission order == grid order
-    else:
-        rows = [_sweep_row(task, args.timing) for task in tasks]
-
-    if args.format == "json":
-        payload = json.dumps(rows, indent=2, sort_keys=True)
-        text = payload + "\n"
-    else:
-        lines = [",".join(CSV_COLUMNS)]
-        for row in rows:
-            lines.append(",".join(_format_cell(row[c]) for c in CSV_COLUMNS))
-        text = "\n".join(lines) + "\n"
-
-    if args.output:
-        with open(args.output, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # opened before any solve, so an unwritable path fails at once; nothing
+    # is written until the rows are in, so no buffered text crosses a fork
+    with open(args.output, "w", newline="") if args.output else contextlib.nullcontext(sys.stdout) as out:
+        if workers > 1:
+            _build_node_tables(tasks)
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+                futures = [pool.submit(_sweep_row, task, args.timing) for task in tasks]
+                rows = [f.result() for f in futures]  # submission order == grid order
+        else:
+            rows = [_sweep_row(task, args.timing) for task in tasks]
+        if args.format == "json":
+            payload = json.dumps(rows, indent=2, sort_keys=True)
+            text = payload + "\n"
+        else:
+            lines = [",".join(CSV_COLUMNS)]
+            for row in rows:
+                lines.append(",".join(_format_cell(row[c]) for c in CSV_COLUMNS))
+            text = "\n".join(lines) + "\n"
+        out.write(text)
 
     if any(row["status"] != "ok" for row in rows):
         return EXIT_NO_CONVERGENCE

@@ -39,8 +39,9 @@ __all__ = [
 
 HBAR_C = 3.16152649e-26  # J m
 
-# Hard resource caps; exceeding them is reported as non-convergence
-# rather than silently returning an unconverged number.
+# Resource caps; reaching one is reported as non-convergence rather than
+# returned as an unconverged number.  NODE_CAP is fixed; the other two are
+# only the TruncationSpec defaults, which a caller may raise.
 N_MAX_CAP = 512
 M_MAX_CAP = 4096
 NODE_CAP = 4096

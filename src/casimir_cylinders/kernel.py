@@ -220,13 +220,11 @@ def _add_shell(acc, half_c, log_bridge, lo, hi, n):
     gram_r += cross.transpose(0, 2, 1)
     if inner == 0:
         gram_r += u[:, neg, :, None] * u[:, neg, None, :]
-    k = np.arange(hi.size)
-    lo_row = u[k, hi - neg_inner]
-    hi_row = u[k, neg + hi - inner]
-    edge = lo_row[:, :, None] * lo_row[:, None, :]
-    edge += hi_row[:, :, None] * hi_row[:, None, :]
-    edge_r = lo_row[:, :, None] * hi_row[:, None, :]
-    edge_r = edge_r + edge_r.transpose(0, 2, 1)
+    # rows (K, 2, n+1) holds the edge rows m = -hi, +hi; edge and edge_r are
+    # their own shares of G and G' (R restricted to them swaps the two)
+    rows = u[np.arange(hi.size)[:, None], np.stack((hi - neg_inner, neg + hi - inner), axis=1)]
+    edge = rows.transpose(0, 2, 1) @ rows
+    edge_r = rows.transpose(0, 2, 1) @ rows[:, ::-1]
     # edge <= gram entrywise, and 0/0 = nan where both vanish: fmax skips it
     # (G_qq >= 1, since every column has a row at its maximum).
     with np.errstate(divide="ignore", invalid="ignore"):

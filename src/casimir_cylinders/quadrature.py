@@ -38,12 +38,16 @@ def semi_infinite_nodes(decay_scale, node_count, a=0.0, b=1.0):
     return beta, weights
 
 
+_PANEL_REL_TOL = 1e-10  # a panel is final when halving changes it by this share of the integral
+_PANEL_MAX_DEPTH = 24  # or when it is this many bisections deep
+
+
 def _panel(f, scale, a, b, n):
     beta, w = semi_infinite_nodes(scale, n, a, b)
     return np.dot(w, f(beta))
 
 
-def adaptive_panels(f, scale, node_count, rel_tol=1e-10, max_depth=24):
+def adaptive_panels(f, scale, node_count):
     """Integral of f over (0, inf) with decay length scale by recursive bisection in
     the mapped variable, a Gauss panel per half.
 
@@ -60,7 +64,7 @@ def adaptive_panels(f, scale, node_count, rel_tol=1e-10, max_depth=24):
         right = _panel(f, scale, mid, b, n)
         fine = left + right
         err = np.max(np.abs(fine - coarse))
-        if depth >= max_depth or err <= rel_tol * max(total_ref, np.max(np.abs(fine))):
+        if depth >= _PANEL_MAX_DEPTH or err <= _PANEL_REL_TOL * max(total_ref, np.max(np.abs(fine))):
             return fine
         return recurse(a, mid, left, depth + 1) + recurse(mid, b, right, depth + 1)
 

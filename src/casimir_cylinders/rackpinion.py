@@ -82,9 +82,7 @@ class ProfileJ:
     constant is the flat two-point table.  Every entry must be finite.
     """
 
-    def __init__(self, ratios=None, values=None, constant=None):
-        if constant is not None:
-            ratios, values = (0.0, 1.0), (constant, constant)
+    def __init__(self, ratios, values):
         ratios = np.asarray(ratios, dtype=float)
         values = np.asarray(values, dtype=float)
         if ratios.ndim != 1 or ratios.shape != values.shape or ratios.size < 2:
@@ -98,7 +96,7 @@ class ProfileJ:
 
     @classmethod
     def constant(cls, value=1.0):
-        return cls(constant=value)
+        return cls((0.0, 1.0), (value, value))
 
     @classmethod
     def from_table(cls, table):

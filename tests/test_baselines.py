@@ -45,6 +45,16 @@ def test_pfa_domain():
         pfa_concentric(1.0)
 
 
+@pytest.mark.parametrize("fn, args, message", [
+    (pfa_bracket, (1.5, "x"), "unknown order"),
+    (slow_series, (0,), "M must be at least 1"),
+    (accelerated_series, (0,), "M must be at least 1"),
+])
+def test_invalid_arguments_are_named(fn, args, message):
+    with pytest.raises(ValueError, match=message):
+        fn(*args)
+
+
 def test_large_alpha_asymptote_values():
     assert large_alpha_asymptote(4.0) == pytest.approx(-0.028403, abs=5e-7)
     assert large_alpha_asymptote(math.e) == pytest.approx(-0.63 / math.e ** 2, rel=1e-12)

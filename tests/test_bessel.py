@@ -47,6 +47,19 @@ def test_bessel_k_domain_error():
         bessel.bessel_k(2, -1.0)
 
 
+@pytest.mark.parametrize("fn, args, message", [
+    (bessel.log_i_ladder, (-1.0, 2), "argument must be nonnegative"),
+    (bessel.log_i_ladder, (2500.0, 2), "x <= 2000"),  # the ladders' cap
+    (bessel.bessel_i, (0, 701.0), "x <= 700"),  # the scalar accessors' cap
+    (bessel.log_k_ladder, (0.0, 2), "K_n diverges at x = 0"),
+    (bessel.bessel_k, (0, 0.0), "K_n diverges at x = 0"),
+    (bessel.bessel_k_prime, (1, 0.0), "K_n diverges at x = 0"),
+])
+def test_arguments_outside_the_domain_are_named(fn, args, message):
+    with pytest.raises(ValueError, match=message):
+        fn(*args)
+
+
 @pytest.mark.parametrize("ladder", [bessel.log_i_ladder, bessel.log_k_ladder, bessel.log_diag_pair])
 def test_ladders_reject_negative_order(ladder):
     with pytest.raises(ValueError, match="n_max must be nonnegative"):

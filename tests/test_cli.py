@@ -201,6 +201,40 @@ def test_sweep_invalid_point_exits_1(capsys):
     assert "overlap" in err
 
 
+def test_sweep_grid_of_one_point_is_its_start(capsys):
+    code, out, _ = run(capsys, "sweep", "--family", "concentric", "--alpha", "1.3:9:1", "--evaluators", "pfa")
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 1 and rows[0].split(",")[1] == "1.3"
+
+
+def test_sweep_unwritable_output_fails_before_any_solve(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(engine, "energy_exact", _failing_solver(AssertionError("solved before the output opened")))
+    code, out, err = run(capsys, "sweep", "--family", "concentric", "--alpha", "1.3,1.4",
+                         "--output", str(tmp_path / "no" / "dir" / "x.csv"))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "x.csv" in err
+
+
+def test_sweep_timing_fills_only_wall_ms(capsys):
+    argv = ["sweep", "--family", "concentric", "--alpha", "1.3,1.5", "--evaluators", "exact,pfa",
+            "--rel-tol", "1e-3"]
+    outputs = {}
+    for fmt, timing in itertools.product(["csv", "json"], [(), ("--timing",)]):
+        code, outputs[fmt, bool(timing)], _ = run(capsys, *argv, "--format", fmt, *timing)
+        assert code == 0
+    rows = json.loads(outputs["json", True])
+    assert all(type(row["wall_ms"]) is int and row["wall_ms"] >= 0 for row in rows)
+    untimed = [dict(row, wall_ms=0) for row in rows]
+    assert json.dumps(untimed, indent=2, sort_keys=True) + "\n" == outputs["json", False]
+    col = CSV_COLUMNS.index("wall_ms")
+    cells = [line.split(",") for line in outputs["csv", True].splitlines()]
+    assert all(int(row[col]) >= 0 for row in cells[1:])
+    for row in cells[1:]:
+        row[col] = "0"
+    assert "".join(",".join(row) + "\n" for row in cells) == outputs["csv", False]
+
+
 def test_sweep_worker_determinism(tmp_path, capsys):
     sweeps = [
         ["concentric", "--alpha", "1.2:1.5:4", "--evaluators", "exact,accelerated,nntl"],
@@ -392,6 +426,12 @@ _RACKPINION = ["rackpinion", "--amplitude", "1e-8", "--wavelength", "1e-6", "--d
     (["concentric", "--alpha", "2", "--scale", "inf"], {}),
     (["sweep", "--family", "concentric", "--alpha", "1.3", "--scale", "inf"], {}),
     (["concentric", "--alpha", "2", "--config", "{tmp}/c.json"], {"c.json": '{"rel_tol": 1e400}'}),
+    (["sweep", "--family", "concentric", "--alpha", "1.3:9:0"], {}),
+    (["sweep", "--family", "concentric", "--alpha", "1.3", "--evaluators", ","], {}),
+    (["sweep", "--family", "concentric", "--alpha", "1.3", "--evaluators", "foo"], {}),
+    # a non-exact evaluator serves concentric shells only, checked before any row is solved
+    (["sweep", "--family", "eccentric", "--alpha", "2", "--delta", "0.5", "--evaluators", "accelerated"], {}),
+    (["sweep", "--family", "eccentric", "--alpha", "2", "--delta", "0.5", "--evaluators", "exact,pfa"], {}),
 ])
 def test_malformed_input_is_a_named_usage_error(tmp_path, capsys, argv, files):
     for name, text in files.items():

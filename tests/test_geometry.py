@@ -51,6 +51,12 @@ def test_validate_names_the_violated_constraint(g, reason):
     assert err.value.reason == reason
 
 
+@pytest.mark.parametrize("fn", [validate, geometry.gap, geometry_to_dict])
+def test_non_geometry_is_a_type_error(fn):
+    with pytest.raises(TypeError, match="not a geometry"):
+        fn((2.0, 0.5))
+
+
 def test_validate_region_randomized():
     rng = np.random.default_rng(42)
     for _ in range(500):

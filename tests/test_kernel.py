@@ -346,6 +346,12 @@ def test_addition_sum_recurrences_match_direct_mpmath():
                     assert abs(k_table[order] / mp.besselk(order, arg) - 1) < 1e-25
 
 
+@pytest.mark.parametrize("x, h", [(0.0, 1.0), (1.0, 0.0)])
+def test_addition_theorem_needs_positive_arguments(x, h):
+    with pytest.raises(ValueError, match="x and h must be positive"):
+        kernel.addition_theorem_check(x, h, 0, 0, TM)
+
+
 def test_addition_theorem_tm_within_one_percent_at_x40():
     lhs, rhs = kernel.addition_theorem_check(40.0, 1.0, 0, 0, TM)
     assert abs(lhs / rhs - 1.0) < 0.01

@@ -189,6 +189,23 @@ def test_profile_rejects_non_finite_tables(table):
         ProfileJ.from_table(table)
 
 
+@pytest.mark.parametrize("ratios, values, message", [
+    ((0.5, 1.0), (1.0, 2.0, 3.0), "matching"),
+    ((0.5,), (1.0,), "at least two points"),
+    ((1.0, 0.5), (1.0, 2.0), "abscissas must increase"),
+    ((0.5, 0.5), (1.0, 2.0), "abscissas must increase"),
+])
+def test_profile_rejects_malformed_tables(ratios, values, message):
+    with pytest.raises(ValueError, match=message):
+        ProfileJ(ratios, values)
+
+
+def test_plane_rack_rejects_an_unresolvable_spike():
+    # gap/radius = 1e-400 rounds to 0, so the spike has no width
+    with pytest.raises(ValueError, match="too small to resolve"):
+        energy_plane_rack(CorrugationSpec(1e-201, 1.0, 0.0, 1e-200, 1e200, 1.0))
+
+
 def test_profile_file_round_trip(tmp_path):
     path = tmp_path / "j.dat"
     path.write_text("0.5 1.0\n1.0 2.0\n2.0 4.0\n")
