@@ -294,6 +294,10 @@ def _refine(eval_at, t, q, n_start=_N_START, accelerated=False):
     # threshold shrinks proportionally, so a sliver of a step cannot fake
     # convergence.
     rungs = _ladder(t, n_start)
+    if t.adapt and len(rungs) == 1:
+        raise NoConvergenceError(
+            f"truncation cap n_max = {t.n_max} leaves no step above the starting order {max(n_start, _N_START)}"
+        )
     n = rungs[0]
     e_tm, e_te, _ = eval_at(n, q.node_count)
     trunc_delta = math.inf

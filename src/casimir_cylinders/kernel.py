@@ -32,11 +32,12 @@ theorem for modified Bessel functions, to a single K:
     A_np = sqrt(d_n d_p) * K_{n+p}(2 beta H/a).
 
 All entries are assembled from log-magnitude ladders and exponentiated
-last.  ``matrix_log_dets`` works on chunks of frequencies: one
-``log_diag_pair`` pass at beta, and one at alpha beta with an I ladder
-at delta beta, taken at twice the first inner-sum cutoff and retaken
-only for a cutoff beyond that (cylinder-plane: one K ladder at
-2 beta H/a), serve the whole chunk and both polarizations.  Since
+last.  ``matrix_log_dets`` takes each ladder of the frequency alone once
+per call: ``log_diag_pair`` at beta and the cylinder-plane K ladder at
+2 beta H/a, whose Grams serve both polarizations.  Eccentric inner sums
+run in chunks of frequencies, each with one ``log_diag_pair`` pass at
+alpha beta and an I ladder at delta beta, taken at twice the first
+cutoff and retaken only for a cutoff beyond that.  Since
 A_{-n,-p} = A_np only the columns n >= 0 are formed, as two
 column-scaled half-width Gram products of the inner m-sum, G = U^T U
 and G' = U^T R U (R reflects m).  When an item's cutoff doubles, only
@@ -86,7 +87,7 @@ __all__ = [
 ]
 
 _POLARIZATIONS = (Polarization.TM, Polarization.TE)  # column order of every (TM, TE) pair
-_CHUNK = 32  # frequencies assembled together by matrix_log_dets
+_CHUNK = 32  # frequencies whose eccentric inner sums share their ladders
 _GRAM_ELEMENTS = 1 << 15  # elements per batched Gram array; bounds the memory of one group
 _SQRT_HALF = math.sqrt(0.5)
 _NEGLIGIBLE = 1e-150  # share of a column's peak below which a summand is dropped
@@ -122,8 +123,7 @@ class SpectralMatrix:
         """Plain-text dump: header line plus one row of entries per line."""
         n = self.half_bandwidth
         lines = [f"# beta={self.beta!r} pol={self.pol.value} half_bandwidth={n} m_used={self.m_used}"]
-        for row in self.entries:
-            lines.append(" ".join(format(v, ".17e") for v in row))
+        lines += [" ".join(format(v, ".17e") for v in row) for row in self.entries]
         return "\n".join(lines) + "\n"
 
 
@@ -234,8 +234,8 @@ def _add_shell(acc, half_c, log_bridge, lo, hi, n):
                    np.fmax.reduce(edge_r.reshape(hi.size, -1), axis=1))
 
 
-def _eccentric_grams(betas, g, t, pols):
-    """Eccentric-shell factors for ``_matrix_grams``.
+def _eccentric_grams(betas, g, t, pols, half_d):
+    """Eccentric-shell factors for ``_matrix_grams``, ``_CHUNK`` frequencies at a time.
 
     Each (beta, pol) item starts its inner sum at m = n + ceil(4 beta
     delta) (the I_{m-n}(beta delta) factors peak near |m - n| ~ beta
@@ -244,12 +244,18 @@ def _eccentric_grams(betas, g, t, pols):
     of rows to the Grams the item already has.  Each group of items runs
     all its rounds before the next group starts, so only one group's
     Grams are held.  The ladders at alpha beta and delta beta serve every
-    group: they are taken at twice the largest first cutoff, and again at
-    twice any cutoff that outgrows them.
+    group of a chunk: they are taken at twice its largest first cutoff,
+    and again at twice any cutoff that outgrows them.
     """
+    for c in range(0, betas.size, _CHUNK):
+        for items, *grams in _chunk_grams(betas[c : c + _CHUNK], g, t, pols, half_d[:, :, c : c + _CHUNK]):
+            yield c * len(pols) + items, *grams
+
+
+def _chunk_grams(betas, g, t, pols, half_d):
+    """One chunk of ``_eccentric_grams``; half_d holds its factors 0.5 log d_n."""
     n, npol = t.n_max, len(pols)
     x_sum, x_bridge = g.alpha * betas, g.delta * betas
-    half_d = 0.5 * log_diag_pair(betas, n)[list(pols)]  # (npol, n+1, nb)
     first = np.repeat(np.minimum(n + np.ceil(4.0 * x_bridge).astype(int), t.m_max), npol)
 
     def ladders(top):
@@ -285,17 +291,16 @@ def _eccentric_grams(betas, g, t, pols):
         yield items, log_w + half_d[pol_i, :, beta_i], gram, gram_r, m_cut
 
 
-def _plane_grams(betas, g, t, pols):
+def _plane_grams(betas, g, t, pols, half_d):
     """Cylinder-plane factors for ``_matrix_grams``.
 
     The inner sum is K_{|q+s|}(2 beta H/a), so G_qs = K_{q+s} and
     G'_qs = K_{|q-s|}, scaled by sqrt(K_2q K_2s) (log-convexity of K in
-    its order keeps every scaled entry <= 1, and G_qq = 1).  Both
-    polarizations share them.  The inner-sum cutoff is 0.
+    its order keeps every scaled entry <= 1, and G_qq = 1).  Each group
+    yields the same G and G' once per polarization; the cutoff is 0.
     """
     n, npol = t.n_max, len(pols)
     log_k2h = log_k_ladder(2.0 * g.h_over_a * betas, 2 * n).T  # (nb, 2n+1)
-    half_d = 0.5 * log_diag_pair(betas, n)[list(pols)]
     half = 0.5 * log_k2h[:, :: 2]  # (nb, n+1)
     group = max(1, _GRAM_ELEMENTS // (npol * (n + 1) ** 2))
     for s in range(0, betas.size, group):
@@ -305,10 +310,9 @@ def _plane_grams(betas, g, t, pols):
         ext = np.concatenate([log_k[:, n:0:-1], log_k[:, : n + 1]], axis=1)
         toeplitz = sliding_window_view(ext, n + 1, axis=1)[:, ::-1]  # log K_|q-s|
         scale = half[b, :, None] + half[b, None, :]
-        grams = [np.repeat(_exp_significant(a - scale), npol, axis=0) for a in (hankel, toeplitz)]
-        items = np.arange(s * npol, b[-1] * npol + npol)
-        beta_i, pol_i = items // npol, items % npol
-        yield items, half_d[pol_i, :, beta_i] + half[beta_i], *grams, np.zeros(items.size, dtype=int)
+        grams = [_exp_significant(a - scale) for a in (hankel, toeplitz)]
+        for p in range(npol):
+            yield npol * b + p, half_d[p, :, b] + half[b], *grams, np.zeros(b.size, dtype=int)
 
 
 def _matrix_grams(betas, g, t, pols=(0, 1)):
@@ -320,7 +324,7 @@ def _matrix_grams(betas, g, t, pols=(0, 1)):
     (items, log w (K, n+1), G and G' (K, n+1, n+1), inner-sum cutoffs (K,)).
     """
     grams = _eccentric_grams if isinstance(g, Eccentric) else _plane_grams
-    return grams(betas, g, t, pols)
+    return grams(betas, g, t, pols, 0.5 * log_diag_pair(betas, t.n_max)[list(pols)])
 
 
 def _log_det_terms(m):
@@ -334,9 +338,7 @@ def _log_det_terms(m):
     except np.linalg.LinAlgError:
         chol = None
     if chol is None or not np.all(np.isfinite(chol)):
-        raise NonContractiveError(
-            "round-trip operator is not a contraction (spectral radius >= 1)"
-        )
+        raise NonContractiveError("round-trip operator is not a contraction (spectral radius >= 1)")
     return 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1))
 
 
@@ -369,7 +371,7 @@ def matrix_log_dets(betas, g, t):
     """ln det(1 - A) for TM and TE at every frequency and every half-bandwidth.
 
     Eccentric shells or cylinder-plane, assembled once at half-bandwidth
-    t.n_max in chunks of ``_CHUNK`` frequencies; entry [k, p, j] is
+    t.n_max for the whole batch; entry [k, p, j] is
     frequency k, polarization p (TM, TE) at half-bandwidth j <= t.n_max,
     shape (len(betas), 2, t.n_max + 1), read off the leading minors.
     Also returns the largest inner-sum cutoff used (0 for cylinder-plane).
@@ -377,10 +379,9 @@ def matrix_log_dets(betas, g, t):
     betas = np.asarray(betas, dtype=float)
     out = np.empty((2 * betas.size, t.n_max + 1))  # (beta, pol) item order
     m_used = 0
-    for s in range(0, betas.size, _CHUNK):
-        for items, log_w, gram, gram_r, m_cut in _matrix_grams(betas[s : s + _CHUNK], g, t):
-            out[2 * s + items] = _parity_log_dets(log_w, gram, gram_r)
-            m_used = max(m_used, int(m_cut.max()))
+    for items, log_w, gram, gram_r, m_cut in _matrix_grams(betas, g, t):
+        out[items] = _parity_log_dets(log_w, gram, gram_r)
+        m_used = max(m_used, int(m_cut.max()))
     return out.reshape(betas.size, 2, -1), m_used
 
 
@@ -390,8 +391,7 @@ def _spectral_matrix(beta, g, pol, t):
     _, log_w, gram, gram_r, m_cut = next(_matrix_grams(np.array([beta]), g, t, pols))
     orders = np.arange(-t.n_max, t.n_max + 1)
     q = np.abs(orders)
-    same_sign = orders[:, None] * orders[None, :] >= 0
-    full = np.where(same_sign, gram[0][np.ix_(q, q)], gram_r[0][np.ix_(q, q)])
+    full = np.where(np.multiply.outer(orders, orders) >= 0, gram[0][np.ix_(q, q)], gram_r[0][np.ix_(q, q)])
     w = log_w[0][q]
     entries = np.exp(w[:, None] + w[None, :]) * full
     return SpectralMatrix(beta=beta, pol=pol, entries=entries, m_used=int(m_cut[0]))

@@ -64,6 +64,13 @@ def test_non_convergence_exits_2(capsys):
     assert "no-convergence" in err
 
 
+def test_one_rung_ladder_exits_2(capsys):
+    # the accelerated start 750 lies above the cap n_max = 512: nothing is measured
+    code, out, err = run(capsys, "concentric", "--alpha", "1.002", "--evaluator", "accelerated")
+    assert code == 2 and out == ""
+    assert err.startswith("no-convergence:") and "starting order 750" in err
+
+
 def test_hopeless_matrix_shape_exits_2_fast(capsys):
     # predicted order 9211 > 2 n_max: named at once instead of after the ladder
     start = time.perf_counter()

@@ -447,6 +447,18 @@ def test_truncation_ladder(t, start, rungs):
     assert engine._ladder(t, start) == rungs
 
 
+@pytest.mark.parametrize("solve, g, t, message", [
+    # the start ceil(1.5 / 0.002) = 750 is clipped to the cap
+    (energy_concentric_accelerated, Concentric(1.002), None, "n_max = 512 leaves no step above the starting order 750"),
+    (energy_exact, Concentric(1.3), TruncationSpec(n_max=16), "n_max = 16 leaves no step above the starting order 16"),
+])
+def test_one_rung_ladder_fails_before_any_evaluation(solve, g, t, message, monkeypatch):
+    monkeypatch.setattr(kernel, "concentric_log_ratios", None)
+    with pytest.raises(NoConvergenceError, match=message) as err:
+        solve(g, t)
+    assert "relative change" not in str(err.value)
+
+
 def test_fixed_n_max_1_is_not_certified():
     # order 1 is compared with order 0, not with itself; the energy is the
     # order-1 truncation of the converged -45.1

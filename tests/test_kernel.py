@@ -295,6 +295,44 @@ def test_batched_log_dets_match_per_frequency_builds(g, n, betas):
     assert m_used == m_single
 
 
+@pytest.mark.parametrize("g, n, betas, picks", [
+    # 32768 // (2 * 25**2) = 26 frequencies per group: three groups
+    (CylinderPlane(1.7), 24, np.geomspace(0.02, 12.0, 70), [0, 25, 26, 51, 52, 69]),
+    # two chunks of at most 32 frequencies
+    (Eccentric(2.0, 0.5), 8, np.geomspace(0.02, 12.0, 40), [0, 31, 32, 39]),
+])
+def test_batched_log_dets_across_groups_match_per_frequency_builds(g, n, betas, picks):
+    t = TruncationSpec(n_max=n)
+    build = kernel.build_eccentric if isinstance(g, Eccentric) else kernel.build_cylinder_plane
+    log_dets, _ = kernel.matrix_log_dets(betas, g, t)
+    for i in picks:
+        for j, pol in enumerate((TM, TE)):
+            mat = build(betas[i], g, pol, t)
+            for k in (0, n // 2, n):
+                block = mat.entries[n - k : n + k + 1, n - k : n + k + 1]
+                sign, value = np.linalg.slogdet(np.eye(2 * k + 1) - block)
+                assert sign == 1.0
+                assert log_dets[i, j, k] == pytest.approx(value, rel=1e-12, abs=1e-12)
+
+
+def test_matrix_log_dets_take_the_frequency_ladders_once(monkeypatch):
+    calls = {"log_k_ladder": [], "log_diag_pair": []}
+    for name, seen in calls.items():
+        ladder = getattr(kernel, name)
+        monkeypatch.setattr(kernel, name, lambda x, n, ladder=ladder, seen=seen: seen.append(x) or ladder(x, n))
+    betas = np.geomspace(0.02, 12.0, 100)
+    kernel.matrix_log_dets(betas, CylinderPlane(1.7), TruncationSpec(n_max=20))
+    assert [len(seen) for seen in calls.values()] == [1, 1]
+    # eccentric: one pass at beta, then the alpha beta ladders chunk by chunk
+    calls["log_diag_pair"].clear()
+    betas = betas[:70]
+    kernel.matrix_log_dets(betas, Eccentric(2.0, 0.5), TruncationSpec(n_max=20))
+    at_beta, *at_alpha_beta = calls["log_diag_pair"]
+    assert np.array_equal(at_beta, betas)
+    chunks = [c for x in at_alpha_beta for c in (0, 32, 64) if np.array_equal(x, 2.0 * betas[c : c + 32])]
+    assert len(chunks) == len(at_alpha_beta) and set(chunks) == {0, 32, 64}
+
+
 def test_logdet_nonpositive_for_kernel_matrices():
     t = TruncationSpec(n_max=6)
     for pol in (TM, TE):
