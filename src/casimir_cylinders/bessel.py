@@ -44,7 +44,13 @@ takes one ``log`` and one ``cumsum``, and the ratios themselves give
 
 (1/rho_0 and sigma_0 at n = 0), so TE adds one ``log`` of a quotient of
 positive sums to TM.  Below ``_SMALL_ARGUMENT`` it takes the log-space
-route from the small-argument ladders instead.
+route from the small-argument ladders instead.  The pass runs over
+blocks of orders (``log_diag_blocks``; ``order_blocks`` gives each block
+2^14 order-by-argument elements per polarization): only rho, which
+recurs downward from n_max, is held whole, while sigma recurs upward a
+block at a time, TE and TM are formed per block and the TM cumulative
+sum carries its last row into the next block.  Each value takes the same operations in the same
+order as in one whole-array pass, so the blocks change no bit.
 
 The module also provides the large-order uniform (Debye) expansion
 machinery: the phase function eta, the first correction polynomial u(t)
@@ -90,6 +96,7 @@ MAX_ARGUMENT = 700.0
 LADDER_MAX_ARGUMENT = 2000.0
 
 _SMALL_ARGUMENT = 1e-8  # the ladders switch to the small-argument forms below this
+_BLOCK_ELEMENTS = 1 << 14  # order rows x arguments per polarization in one block of orders
 
 # Trapezoidal rules for e^x K_0 and e^x K_1 (``_k01_scaled``), built once:
 # step _STEP in t for x < 1, up to t = log(100/_SMALL_ARGUMENT) + 2, of which
@@ -166,15 +173,21 @@ def _piecewise(x, edge, below, above, *args):
     return out
 
 
-def _ladder_entry(x, n_max, below, above, zero_ok=False):
-    """The public ladders' entry: x (0 only if ``zero_ok``) and n_max >= 0 checked,
-    then ``_piecewise`` at ``_SMALL_ARGUMENT`` on the flattened x, shaped like x."""
+def _checked(x, n_max, zero_ok=False):
+    """x as a float array (0 only if ``zero_ok``) and n_max >= 0 as an int, both checked."""
     x = _validate_argument(x)
     if not zero_ok and np.any(x == 0.0):
         raise ValueError("K_n diverges at x = 0")
     n_max = int(n_max)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    return x, n_max
+
+
+def _ladder_entry(x, n_max, below, above, zero_ok=False):
+    """The I and K ladders' entry: ``_checked``, then ``_piecewise`` at
+    ``_SMALL_ARGUMENT`` on the flattened x, shaped like x."""
+    x, n_max = _checked(x, n_max, zero_ok)
     out = _piecewise(x.reshape(-1), _SMALL_ARGUMENT, below, above, n_max)
     return out.reshape(out.shape[:-1] + x.shape)
 
@@ -236,10 +249,11 @@ def _k01_scaled(x):
     return _piecewise(x, 1.0, _k01_t, _k01_s)
 
 
-def _i_ratios(x, n):
-    """rho_k = I_k/I_{k+1} for k = 0..n-1, shape (n, x.size), n >= 1: the continued
-    fraction seeds rho_{n-1}, and rho_k = 2(k+1)/x + 1/rho_{k+1} runs downward."""
-    rho = np.multiply.outer(np.arange(1.0, n + 1), 2.0 / x)
+def _i_ratios(x, n, out=None):
+    """rho_k = I_k/I_{k+1} for k = 0..n-1, shape (n, x.size), n >= 1, in ``out`` if given:
+    the continued fraction seeds rho_{n-1}, and rho_k = 2(k+1)/x + 1/rho_{k+1} runs
+    downward."""
+    rho = np.multiply.outer(np.arange(1.0, n + 1), 2.0 / x, out=out)
     rho[-1] = _i_ratio_cf(n - 1, x)
     for k in range(n - 2, -1, -1):
         rho[k] += 1.0 / rho[k + 1]
@@ -315,28 +329,102 @@ def _diag_small(x, n_max):
     return np.array([tm, _log_derivative(log_i, n_max) - _log_derivative(log_k, n_max)])
 
 
+def order_blocks(rows, width):
+    """(a, b) ranges covering the order rows 0..rows-1 of a ladder over ``width`` arguments,
+    ``_BLOCK_ELEMENTS`` // width rows each (at least one)."""
+    step = max(1, _BLOCK_ELEMENTS // max(width, 1))
+    return [(a, min(a + step, rows)) for a in range(0, rows, step)]
+
+
 def _diag_above(x, n_max):
-    """``log_diag_pair`` from one K_0/K_1 seed and the two ratio ladders."""
+    """``log_diag_pair`` of x >= ``_SMALL_ARGUMENT`` over the blocks of ``order_blocks``.
+
+    Yields (a, b, block), block[:, j] the (TM, TE) log d_{a+j}.  One K_0/K_1 seed
+    serves both ratio ladders.  Only rho is held whole, since it recurs downward from
+    n_max; sigma recurs upward a block at a time, and each block's products rho_k sigma_k
+    overwrite the rho rows no later block reads, their cumulative log sum included, so
+    the last of them carries the TM sum into the next block.  Every block reuses one
+    buffer: read it before asking for the next.
+    """
+    blocks = order_blocks(n_max + 1, x.size)
+    rows = blocks[0][1]
+    # rho, the block and the sigma rows share one allocation.  Apart, glibc's trim
+    # threshold (twice the largest chunk freed) fell below the footprint of a pass,
+    # and sweep workers returned and refaulted those pages solve after solve.
+    work = np.empty((n_max + 2 + 3 * rows, x.size))
+    rho = _i_ratios(x, n_max + 1, out=work[: n_max + 1])
+    out = work[n_max + 1 : n_max + 1 + 2 * rows].reshape(2, rows, x.size)
+    sigma = work[n_max + 1 + 2 * rows :]  # sigma_{a-1}..sigma_{b-1}
     k0, k1 = _k01_scaled(x)
-    rho = _i_ratios(x, n_max + 1)
-    sigma = _k_ratios(x, k0, k1, n_max + 1)
-    out = np.empty((2, n_max + 1, x.size))
-    tm, te = out
-    # TE over TM: (rho_{n-1} + 1/rho_n) / (1/sigma_{n-1} + sigma_n), 1/(rho_0 sigma_0) at n = 0;
-    # the TM rows hold the denominator until they are written
-    np.divide(1.0, rho, out=te)
-    te[1:] += rho[:-1]
-    tm[0] = sigma[0]
-    np.divide(1.0, sigma[:-1], out=tm[1:])
-    tm[1:] += sigma[1:]
-    te /= tm
-    np.log(te, out=te)
-    # TM: log(I_0/K_0) - sum_{k<n} log(rho_k sigma_k)
-    tm[0] = _log_i0(x, k0, k1, rho[0]) - np.log(k0) + x
-    rho *= sigma
-    _cumulate(tm, rho[:-1], np.subtract)
-    te += tm
-    return out
+    tm0 = _log_i0(x, k0, k1, rho[0]) - np.log(k0) + x
+    two_over_x = 2.0 / x
+    sigma[1] = k1 / k0
+    for a, b in blocks:
+        m = b - a
+        lo = int(a == 0)  # the block's first row with n >= 1
+        tm, te = out[:, :m]
+        s = sigma[: m + 1]
+        if a:
+            s[0] = sigma[rows]
+        # sigma_k = 2k/x + 1/sigma_{k-1}, upward
+        np.multiply.outer(np.arange(a + lo, b, dtype=float), two_over_x, out=s[1 + lo :])
+        for j in range(1 + lo, m + 1):
+            s[j] += 1.0 / s[j - 1]
+        # TE over TM: (rho_{n-1} + 1/rho_n) / (1/sigma_{n-1} + sigma_n), 1/(rho_0 sigma_0) at
+        # n = 0; the TM rows hold the denominator until they are written
+        np.divide(1.0, rho[a:b], out=te)
+        te[lo:] += rho[a + lo - 1 : b - 1]
+        if lo:
+            tm[0] = s[1]
+        np.divide(1.0, s[lo:m], out=tm[lo:])
+        tm[lo:] += s[lo + 1 :]
+        te /= tm
+        np.log(te, out=te)
+        # TM: log(I_0/K_0) - sum_{k<n} log(rho_k sigma_k), the sum carried in rho
+        k = a + lo - 1
+        prod = rho[k : b - 1]
+        prod *= s[lo:m]
+        np.log(prod, out=prod)
+        if k:
+            prod[0] += rho[k - 1]
+        np.cumsum(prod, axis=0, out=prod)
+        if lo:
+            tm[0] = tm0
+        np.subtract(tm0, prod, out=tm[lo:])
+        te += tm
+        yield a, b, out[:, :m]
+
+
+def _diag_blocks(x, n_max):
+    """``_diag_above``'s blocks over flat x, columns below ``_SMALL_ARGUMENT`` from
+    ``_diag_small``."""
+    low = x < _SMALL_ARGUMENT
+    if not low.any():
+        yield from _diag_above(x, n_max)
+        return
+    small = _diag_small(x[low], n_max)
+    if low.all():
+        yield 0, n_max + 1, small
+        return
+    out = None
+    for a, b, above in _diag_above(x[~low], n_max):
+        if out is None:
+            out = np.empty((2, b - a, x.size))
+        block = out[:, : b - a]
+        block[..., low] = small[:, a:b]
+        block[..., ~low] = above
+        yield a, b, block
+
+
+def log_diag_blocks(x, n_max):
+    """``log_diag_pair(x, n_max)`` over the flattened x, one order block at a time.
+
+    Returns an iterator of (a, b, block), block of shape (2, b - a, x.size) holding
+    orders a..b-1, in increasing order; x and n_max are checked at once.  A block is
+    overwritten by the next, so read each before advancing.
+    """
+    x, n_max = _checked(x, n_max)
+    return _diag_blocks(x.reshape(-1), n_max)
 
 
 def log_diag_pair(x, n_max):
@@ -346,10 +434,16 @@ def log_diag_pair(x, n_max):
     argument: one K_0/K_1 seed, the I and K ratio ladders, then
     log d_n = log(I_0/K_0) - sum_{k<n} log(rho_k sigma_k) and
     log d_n^TE = log d_n + log[(I'_n/I_n) / (|K'_n|/K_n)], every term of
-    the ratio positive.  Below ``_SMALL_ARGUMENT`` the small-argument
-    ladders serve instead.  Requires x > 0.
+    the ratio positive, filled in from ``log_diag_blocks``.  Below
+    ``_SMALL_ARGUMENT`` the small-argument ladders serve instead.
+    Requires x > 0.
     """
-    return _ladder_entry(x, n_max, _diag_small, _diag_above)
+    shape = np.shape(x)
+    blocks = log_diag_blocks(x, n_max)
+    out = np.empty((2, int(n_max) + 1, math.prod(shape)))
+    for a, b, block in blocks:
+        out[:, a:b] = block
+    return out.reshape(out.shape[:2] + shape)
 
 
 def log_di_ladder(x, n_max):

@@ -23,11 +23,15 @@ For the dense eccentric and cylinder-plane matrices
 and reads every lower order off the leading minors.  For concentric
 shells the matrices are diagonal and the determinant is a plain sum over
 azimuthal index n: one ``kernel.concentric_log_ratios`` call per
-evaluation gives the TM and TE terms from one fused ``log_diag_pair``
-pass over beta and alpha beta, and their cumulative sums over n give
-every lower order.  That sum converges painfully slowly as alpha -> 1,
-so ``energy_concentric_accelerated`` subtracts, inside every n >= 1
-term of both polarizations, the leading large-order approximant
+evaluation gives the TM and TE terms from one fused pass of the
+diagonal ladder over beta and alpha beta, taken in blocks of orders, and
+their cumulative sums over n give every lower order.  The terms are
+folded into those sums in place, block by block, so an evaluation holds
+two full-size arrays, the I-ratio ladder and the result: a working set
+of about 4·(top+1)·nb·8 bytes for nb frequencies.  That sum converges
+painfully slowly as alpha -> 1, so ``energy_concentric_accelerated``
+subtracts, inside every n >= 1 term of both polarizations, the leading
+large-order approximant
 
     r_n(beta) ~ q_n(beta) = exp(-2 (alpha - 1) sqrt(n^2 + beta^2)),
 
@@ -42,7 +46,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import kernel
-from .bessel import LADDER_MAX_ARGUMENT
+from .bessel import LADDER_MAX_ARGUMENT, order_blocks
 from .geometry import (
     NODE_CAP,
     Concentric,
@@ -131,8 +135,9 @@ def _eval_factory(g, t, q, evaluate, n_start=_N_START, offset=0.0):
     log-determinant sums over the orders 0..top, shape
     (len(betas), 2, top+1), and the largest inner-sum cutoff it used.  One
     cache keeps the last evaluation, so a request at n_top <= top on the
-    same frequencies reads entry n_top.  The first evaluation runs at the
-    rung of ``_ladder`` from ``n_start`` nearest the predicted order
+    same frequencies reads entry n_top; it lets go of the last before the
+    next is formed.  The first evaluation runs at the rung of ``_ladder``
+    from ``n_start`` nearest the predicted order
     (n_max without adapt); a miss and new frequencies (the node doubling
     at the final order) run at exactly n_top.  Frequencies beyond
     ``_beta_limit`` contribute zero and are never evaluated.  ``offset``
@@ -147,7 +152,9 @@ def _eval_factory(g, t, q, evaluate, n_start=_N_START, offset=0.0):
         nonlocal seen, cum, m_used
         if seen is None or n_top >= cum.shape[2] or not np.array_equal(betas, seen):
             top = max(n_top, first) if seen is None else n_top
-            seen, (cum, m_used) = betas, evaluate(betas, top)
+            seen = cum = None  # so that two evaluations are never held at once
+            cum, m_used = evaluate(betas, top)
+            seen = betas
         return cum[:, :, n_top], m_used
 
     def eval_at(n_top, node_count):
@@ -182,17 +189,28 @@ def _concentric_integrand(g, accelerated):
     In the accelerated variant every n >= 1 term of either polarization
     has ln(1 - q_n) subtracted, q_n being the resummed uniform approximant.
     A term at order n does not depend on the truncation, so the cumulative
-    folded sums of one evaluation serve every lower order.
+    folded sums of one evaluation serve every lower order.  The sums
+    overwrite the log ratios they come from, one block of
+    ``bessel.order_blocks`` over the frequencies at a time (as many
+    elements per polarization as a ladder block), each block's running
+    sum starting from the last row of the block before.
     """
     alpha = g.alpha
 
     def evaluate(betas, top):
-        terms = _log1mexp(kernel.concentric_log_ratios(betas, alpha, top))  # (2, top + 1, nb)
-        if accelerated:
-            n = np.arange(1, top + 1)[:, None]
-            terms[:, 1:] -= _log1mexp(-2.0 * (alpha - 1.0) * np.sqrt(n * n + betas[None, :] ** 2))
-        terms[:, 1:] *= 2.0
-        return np.cumsum(terms, axis=1, out=terms).transpose(2, 0, 1), 0
+        log_r = kernel.concentric_log_ratios(betas, alpha, top)  # (2, top + 1, nb)
+        beta2 = betas * betas
+        for a, b in order_blocks(top + 1, betas.size):
+            terms = _log1mexp(log_r[:, a:b])
+            lo = max(a, 1) - a  # the block's first row with n >= 1
+            if accelerated:
+                n = np.arange(a + lo, b)[:, None]
+                terms[:, lo:] -= _log1mexp(-2.0 * (alpha - 1.0) * np.sqrt(n * n + beta2))
+            terms[:, lo:] *= 2.0
+            if a:
+                terms[:, 0] += log_r[:, a - 1]
+            np.cumsum(terms, axis=1, out=log_r[:, a:b])
+        return log_r.transpose(2, 0, 1), 0
 
     return evaluate
 

@@ -22,10 +22,13 @@ Concentric shells (delta = 0) collapse to the diagonal ratios
 
 (primed functions for TE), and ``concentric_log_ratios`` takes both
 polarizations at beta and alpha beta from one pass of
-``bessel.log_diag_pair``: one K_0/K_1 seed per argument and the I and K
+``bessel.log_diag_blocks``: one K_0/K_1 seed per argument and the I and K
 ratio recurrences, whose ratios rho_n = I_n/I_{n+1} and
 sigma_n = K_{n+1}/K_n also give the TE factors through
 I'_n/I_n = (rho_{n-1} + 1/rho_n)/2 and |K'_n|/K_n = (1/sigma_{n-1} + sigma_n)/2.
+The pass yields blocks of orders, and each block's beta-minus-alpha-beta
+difference goes straight into the (2, n_max+1, nb) result, so no
+(TM, TE) ladder over both arguments is ever formed whole.
 In the cylinder-plane limit the inner sum reduces, via the addition
 theorem for modified Bessel functions, to a single K:
 
@@ -60,6 +63,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .bessel import (  # noqa: F401 -- perfbench/tracer.py looks up the derivative ladders here
     log_di_ladder,
+    log_diag_blocks,
     log_diag_pair,
     log_dk_ladder,
     log_i_ladder,
@@ -132,13 +136,16 @@ def concentric_log_ratios(beta, alpha, n_max):
 
     r_n = d_n(beta) / d_n(alpha beta), d_n the diagonal factor of
     ``bessel.log_diag_pair``, taken in one pass over beta and alpha beta
-    together.  Both polarizations, shape (2, n_max + 1) + beta.shape in
-    (TM, TE) order.
+    together.  Each order block of ``bessel.log_diag_blocks`` is written
+    straight into the result as the difference of its two halves.  Both
+    polarizations, shape (2, n_max + 1) + beta.shape in (TM, TE) order.
     """
     betas = np.asarray(beta, dtype=float)
-    log_d = log_diag_pair(np.concatenate([betas.ravel(), alpha * betas.ravel()]), n_max)
-    log_r = log_d[..., : betas.size]
-    log_r -= log_d[..., betas.size :]
+    nb = betas.size
+    blocks = log_diag_blocks(np.concatenate([betas.ravel(), alpha * betas.ravel()]), n_max)
+    log_r = np.empty((2, int(n_max) + 1, nb))
+    for a, b, block in blocks:
+        np.subtract(block[..., :nb], block[..., nb:], out=log_r[:, a:b])
     return log_r.reshape(log_r.shape[:-1] + betas.shape)
 
 

@@ -216,6 +216,25 @@ def test_log_diag_pair_against_mpmath(x):
         assert np.all(np.abs(scalar[:, n] - ref) <= tol), (n, scalar[:, n] - ref)
 
 
+# Checked columns of the block-edge test, put ahead of a log-spaced filler
+# that makes the batch several order blocks long: below and just above
+# _SMALL_ARGUMENT, about the seed's x = 1 edge, and up to the argument cap.
+BLOCK_EDGE_POINTS = (3e-9, 9e-9, 2e-8, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 0.6, 40.0, 1900.0)
+
+
+def test_log_diag_pair_across_order_blocks():
+    x = np.concatenate([BLOCK_EDGE_POINTS, np.geomspace(1e-3, 1900.0, 600)])
+    n_max = 512
+    edges = [a for a, _ in bessel.order_blocks(n_max + 1, x.size)][1:]
+    assert len(edges) >= 8
+    got = bessel.log_diag_pair(x, n_max)
+    for column, point in enumerate(BLOCK_EDGE_POINTS):
+        for n in sorted({n for a in edges for n in (a - 1, a)}):
+            ref = np.array(oracles.log_diag_factors(n, point))
+            tol = 1e-14 * np.maximum(1.0, np.abs(ref))
+            assert np.all(np.abs(got[:, n, column] - ref) <= tol), (point, n, got[:, n, column] - ref)
+
+
 @pytest.mark.parametrize(
     "n,x",
     [(0, 1e-3), (0, 1.0), (0, 2.0), (1, 0.3), (5, 10.0), (17, 2.0), (64, 60.0),

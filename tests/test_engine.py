@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -260,6 +261,53 @@ def test_concentric_call_sequence_is_pinned(monkeypatch):
         calls.clear()
         evaluate(Concentric(alpha), t)
         assert calls == [(size, alpha, order) for size, order in expected]
+
+
+def _concentric_grid(g, nodes):
+    """The frequencies a concentric evaluation sees on a ``nodes``-point grid."""
+    betas, _ = semi_infinite_nodes(QuadratureSpec().scale / (2.0 * (g.alpha - 1.0)), nodes)
+    return betas[betas <= _beta_limit(g)]
+
+
+@pytest.mark.parametrize("accelerated", [False, True])
+def test_concentric_evaluation_working_set(accelerated):
+    # the order-block pass holds only the I-ratio ladder over beta and alpha
+    # beta and the (2, top + 1, nb) result whole, two units each
+    g = Concentric(1.02)
+    betas = _concentric_grid(g, 256)
+    unit = 513 * betas.size * 8  # one (top + 1, nb) float64 array
+    evaluate = _concentric_integrand(g, accelerated)
+    tracemalloc.start()
+    try:
+        cum, _ = evaluate(betas, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cum.shape == (betas.size, 2, 513)
+    assert peak <= 5.5 * unit, peak / unit
+
+
+def test_eval_factory_lets_go_of_the_last_evaluation():
+    # new frequencies evaluate again; the sums of the first evaluation are
+    # dropped before the second is formed, so the two are never held at once
+    g = Concentric(1.02)
+    evaluate = _concentric_integrand(g, accelerated=False)
+    held = []
+
+    def traced(betas, top):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return evaluate(betas, top)
+
+    eval_at = _eval_factory(g, TruncationSpec(), QuadratureSpec(), traced)
+    tracemalloc.start()
+    try:
+        eval_at(512, 256)
+        eval_at(512, 512)
+    finally:
+        tracemalloc.stop()
+    first_sums = 2 * 513 * _concentric_grid(g, 256).size * 8
+    assert len(held) == 2
+    assert held[1] - held[0] < 0.25 * first_sums, (held[1] - held[0]) / first_sums
 
 
 @settings(max_examples=12, deadline=None)
