@@ -20,9 +20,10 @@ Evaluation strategy:
   integrands (Trefethen & Weideman, SIAM Review 56, 2014).  It then
   recurs upward, the stable direction for K,
   sigma_n = K_{n+1}/K_n = 2n/x + 1/sigma_{n-1}.
-* ``log_i_ladder`` seeds the top ratio rho_{N-1} = I_{N-1}/I_N with a
-  continued fraction and recurs downward (Miller's direction, stable for
-  the minimal solution), rho_k = 2(k+1)/x + 1/rho_{k+1}.  The absolute
+* ``log_i_ladder`` recurs downward, rho_k = I_k/I_{k+1} = 2(k+1)/x + 1/rho_{k+1}
+  (Miller's algorithm; Gautschi, SIAM Review 9, 1967), from L(N, x) orders
+  above the top ratio rho_{N-1}, seeded there by Amos's bound (Math. Comp.
+  28, 1974) and damped below rounding by the recurrence.  The absolute
   scale comes from the Wronskian I_0 K_1 + I_1 K_0 = 1/x (DLMF 10.28.2),
   log I_0 = x - log x - log(e^x K_1 + e^x K_0/rho_0), whose terms are
   all positive.
@@ -97,6 +98,7 @@ LADDER_MAX_ARGUMENT = 2000.0
 
 _SMALL_ARGUMENT = 1e-8  # the ladders switch to the small-argument forms below this
 _BLOCK_ELEMENTS = 1 << 14  # order rows x arguments per polarization in one block of orders
+_DAMPING_ROWS = 35.0 / (2.0 * math.asinh(1.0))  # unit-bound rows of e^35 I-ratio seed damping
 
 # Trapezoidal rules for e^x K_0 and e^x K_1 (``_k01_scaled``), built once:
 # step _STEP in t for x < 1, up to t = log(100/_SMALL_ARGUMENT) + 2, of which
@@ -123,39 +125,13 @@ _S_WEIGHTS[:, 0] *= 0.5
 
 def _validate_argument(x, cap=LADDER_MAX_ARGUMENT):
     x = np.asarray(x, dtype=float)
+    if np.any(np.isnan(x)):
+        raise ValueError("argument must not be NaN")
     if np.any(x < 0.0):
         raise ValueError("argument must be nonnegative")
     if np.any(x > cap):
         raise ValueError(f"argument exceeds supported range x <= {cap}")
     return x
-
-
-def _i_ratio_cf(n, x):
-    """Continued fraction for the ratio I_n(x)/I_{n+1}(x), vectorized in x.
-
-    Modified Lentz evaluation of
-
-        I_n/I_{n+1} = b_1 + 1/(b_2 + 1/(b_3 + ...)),   b_k = 2(n+k)/x.
-
-    All partial numerators are positive, so the iteration cannot hit a
-    vanishing denominator for x > 0.
-    """
-    invx = 1.0 / x
-    b = 2.0 * (n + 1) * invx
-    f = b.copy()
-    c = b.copy()
-    d = np.zeros_like(x)
-    active = np.ones(x.shape, dtype=bool)
-    for k in range(2, 40000):
-        b = 2.0 * (n + k) * invx
-        d = 1.0 / (b + d)
-        c = b + 1.0 / c
-        delta = c * d
-        f = np.where(active, f * delta, f)
-        active &= np.abs(delta - 1.0) > 1e-15
-        if not active.any():
-            return f
-    raise RuntimeError("continued fraction for I_n/I_{n+1} did not converge")
 
 
 def _piecewise(x, edge, below, above, *args):
@@ -210,8 +186,8 @@ def _i_small(x, n_max):
 def log_i_ladder(x, n_max):
     """log I_n(x) for n = 0..n_max, shape (n_max+1,) + x.shape.
 
-    Downward ratio recurrence seeded by the continued-fraction ratio at
-    the top order; x may be an array.  Below ``_SMALL_ARGUMENT`` the exact
+    Downward ratio recurrence started above the top order (see
+    ``_i_ratios``); x may be an array.  Below ``_SMALL_ARGUMENT`` the exact
     small-argument form n log(x/2) - log n! + log(1 + x^2/(4(n+1))) is
     used instead, whose neglected terms are O(x^4).  x == 0 entries yield
     the exact limits log I_0(0) = 0 and log I_n(0) = -inf for n > 0.
@@ -249,15 +225,34 @@ def _k01_scaled(x):
     return _piecewise(x, 1.0, _k01_t, _k01_s)
 
 
-def _i_ratios(x, n, out=None):
-    """rho_k = I_k/I_{k+1} for k = 0..n-1, shape (n, x.size), n >= 1, in ``out`` if given:
-    the continued fraction seeds rho_{n-1}, and rho_k = 2(k+1)/x + 1/rho_{k+1} runs
-    downward."""
-    rho = np.multiply.outer(np.arange(1.0, n + 1), 2.0 / x, out=out)
-    rho[-1] = _i_ratio_cf(n - 1, x)
-    for k in range(n - 2, -1, -1):
-        rho[k] += 1.0 / rho[k + 1]
-    return rho
+def _extension_rows(x, n):
+    """Orders L above n - 1 from which the downward I-ratio recurrence damps its seed's
+    error (at most 2.3e-2, at nu = 1) by e^35: row k damps it by rho_k rho_{k+1} >=
+    exp(2 asinh((k + 1/2)/x)) >= exp(2 asinh(1) min((k + 1/2)/x, 1)).  L solves the
+    quadratic sum of the rows whose min is below 1, or adds unit rows after them.
+    Elementwise in x, so no column depends on its batch."""
+    ramp = np.maximum(np.ceil(x - (n - 0.5)), 0.0)  # rows with (k + 1/2)/x < 1
+    ramp_sum = (ramp * (n - 0.5) + 0.5 * ramp * (ramp - 1.0)) / x
+    quadratic = np.ceil(np.sqrt((n - 1.0) ** 2 + 2.0 * _DAMPING_ROWS * x) - (n - 1.0))
+    rows = np.where(ramp_sum >= _DAMPING_ROWS, quadratic, ramp + np.ceil(_DAMPING_ROWS - ramp_sum))
+    return rows.astype(int)
+
+
+def _i_ratios(x, n, spare=0):
+    """A buffer whose first n rows hold rho_k = I_k/I_{k+1}, k = 0..n-1 (n >= 1), and then
+    at least ``spare`` free rows.  Column j runs rho_k = 2(k+1)/x + 1/rho_{k+1} down from
+    nu = n - 1 + ``_extension_rows``, seeded by Amos's rho_nu ~ (nu + 1/2 + sqrt((nu + 3/2)^2
+    + x^2))/x under a row of +inf: 1/inf = 0 keeps the seed, so one row loop serves all."""
+    top = n + _extension_rows(x, n)  # row nu + 1 of each column
+    rows = top.max() + 1
+    work = np.empty((max(rows, n + spare), x.size))
+    rho = np.multiply.outer(np.arange(1.0, rows + 1), 2.0 / x, out=work[:rows])
+    nu, columns = top - 1.0, np.arange(x.size)
+    rho[top - 1, columns] = (nu + 0.5 + np.sqrt((nu + 1.5) ** 2 + x * x)) / x
+    rho[top, columns] = np.inf
+    for row, above in zip(rho[-2::-1], rho[:0:-1]):
+        row += 1.0 / above
+    return work
 
 
 def _k_ratios(x, k0, k1, n):
@@ -265,8 +260,8 @@ def _k_ratios(x, k0, k1, n):
     from the seed, and sigma_k = 2k/x + 1/sigma_{k-1} runs upward."""
     sigma = np.multiply.outer(np.arange(float(n)), 2.0 / x)
     sigma[0] = k1 / k0
-    for k in range(1, n):
-        sigma[k] += 1.0 / sigma[k - 1]
+    for row, below in zip(sigma[1:], sigma):
+        row += 1.0 / below
     return sigma
 
 
@@ -348,11 +343,12 @@ def _diag_above(x, n_max):
     """
     blocks = order_blocks(n_max + 1, x.size)
     rows = blocks[0][1]
-    # rho, the block and the sigma rows share one allocation.  Apart, glibc's trim
-    # threshold (twice the largest chunk freed) fell below the footprint of a pass,
-    # and sweep workers returned and refaulted those pages solve after solve.
-    work = np.empty((n_max + 2 + 3 * rows, x.size))
-    rho = _i_ratios(x, n_max + 1, out=work[: n_max + 1])
+    # rho, the block and the sigma rows share one allocation, the latter two over rho's
+    # extension rows.  Apart, glibc's trim threshold (twice the largest chunk freed)
+    # fell below the footprint of a pass, and sweep workers returned and refaulted
+    # those pages solve after solve.
+    work = _i_ratios(x, n_max + 1, spare=1 + 3 * rows)
+    rho = work[: n_max + 1]
     out = work[n_max + 1 : n_max + 1 + 2 * rows].reshape(2, rows, x.size)
     sigma = work[n_max + 1 + 2 * rows :]  # sigma_{a-1}..sigma_{b-1}
     k0, k1 = _k01_scaled(x)
@@ -368,8 +364,8 @@ def _diag_above(x, n_max):
             s[0] = sigma[rows]
         # sigma_k = 2k/x + 1/sigma_{k-1}, upward
         np.multiply.outer(np.arange(a + lo, b, dtype=float), two_over_x, out=s[1 + lo :])
-        for j in range(1 + lo, m + 1):
-            s[j] += 1.0 / s[j - 1]
+        for row, below in zip(s[1 + lo :], s[lo:]):
+            row += 1.0 / below
         # TE over TM: (rho_{n-1} + 1/rho_n) / (1/sigma_{n-1} + sigma_n), 1/(rho_0 sigma_0) at
         # n = 0; the TM rows hold the denominator until they are written
         np.divide(1.0, rho[a:b], out=te)

@@ -233,7 +233,7 @@ def _cmd_energy(args):
     }
     total = record["e_tm"] + record["e_te"]
     record["fraction_tm"] = record["e_tm"] / total
-    record["fraction_te"] = record["e_te"] / total
+    record["fraction_te"] = record["e_te"] / total + 0.0  # an underflowed e_te gives 0, not -0
     if args.a_meters is not None and args.l_meters is not None:
         record["energy_joules"] = to_physical(record["e_hat"], args.a_meters, args.l_meters)
 

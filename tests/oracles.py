@@ -182,10 +182,11 @@ def addition_sum(x, h, n, p, pol):
 
 
 def _besselk(order, arg):
-    """mpmath's K_n.  Near order 512 at x ~ 2000 its default term budget
-    gives up; there the large-argument series converges with more terms
-    (which at moderate x would run on instead)."""
-    return mp.besselk(order, arg, maxterms=10**6) if arg > 1000 else mp.besselk(order, arg)
+    """mpmath's K_n.  Near order 512 its default term budget gives up at
+    x ~ 2000 and takes seconds to get there at x = 700; from x = 500 on the
+    large-argument series converges with more terms (which at moderate x
+    would run on instead)."""
+    return mp.besselk(order, arg, maxterms=10**6) if arg >= 500 else mp.besselk(order, arg)
 
 
 def log_diag_factors(n, x):

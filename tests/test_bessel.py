@@ -54,6 +54,11 @@ def test_bessel_k_domain_error():
     (bessel.log_k_ladder, (0.0, 2), "K_n diverges at x = 0"),
     (bessel.bessel_k, (0, 0.0), "K_n diverges at x = 0"),
     (bessel.bessel_k_prime, (1, 0.0), "K_n diverges at x = 0"),
+    (bessel.log_bessel_i, (3, math.nan), "argument must not be NaN"),
+    (bessel.bessel_k, (2, math.nan), "argument must not be NaN"),
+    (bessel.log_diag_pair, ([math.nan], 3), "argument must not be NaN"),
+    (bessel.log_i_ladder, ([1.0, math.nan], 3), "argument must not be NaN"),
+    (bessel.log_k_ladder, ([math.nan, 1.0], 3), "argument must not be NaN"),
 ])
 def test_arguments_outside_the_domain_are_named(fn, args, message):
     with pytest.raises(ValueError, match=message):
@@ -233,6 +238,37 @@ def test_log_diag_pair_across_order_blocks():
             ref = np.array(oracles.log_diag_factors(n, point))
             tol = 1e-14 * np.maximum(1.0, np.abs(ref))
             assert np.all(np.abs(got[:, n, column] - ref) <= tol), (point, n, got[:, n, column] - ref)
+
+
+SEED_ROW_POINTS = (1e-7, 1.0, 40.0, 700.0, 2000.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 24, 181, 512])
+def test_rows_next_to_the_i_ratio_seed(n):
+    # rows n - 1 and n of a ladder to order n hang on the top I ratio
+    # rho_{n-1}, the first row below its seeded extension rows; the slowest
+    # damping is at n = 1, x = 2000 (hundreds of extension rows)
+    x = np.array(SEED_ROW_POINTS)
+    log_i = bessel.log_i_ladder(x, n)
+    diag = bessel.log_diag_pair(x, n)
+    for column, point in enumerate(SEED_ROW_POINTS):
+        for order in (n - 1, n):
+            ref = np.array([oracles.log_bessel_i_reference(order, point)])
+            ref_diag = np.array(oracles.log_diag_factors(order, point))
+            for got, want in ((log_i[order, column], ref), (diag[:, order, column], ref_diag)):
+                tol = 1e-14 * np.maximum(1.0, np.abs(want))
+                assert np.all(np.abs(got - want) <= tol), (point, order, got - want)
+
+
+@pytest.mark.parametrize("n", [1, 25, 182, 513])
+def test_i_ratio_column_does_not_depend_on_its_batch(n):
+    # each column starts its recurrence from its own argument only, so a
+    # frequency's ladder is the same in any batch (rows past n are work rows)
+    x = np.geomspace(1e-8, 2000.0, 303)
+    batch = bessel._i_ratios(x, n)[:n]
+    for j in range(x.size):
+        alone = bessel._i_ratios(x[j : j + 1], n)[:n, 0]
+        assert np.array_equal(batch[:, j], alone), (x[j], np.flatnonzero(batch[:, j] != alone))
 
 
 @pytest.mark.parametrize(

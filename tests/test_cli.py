@@ -3,6 +3,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -87,6 +88,21 @@ def test_underflowing_energy_exits_2_named(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("cylplane", "--h-over-a", "1e100"),
+    ("eccentric", "--alpha", "1e100", "--delta", "0.5"),
+    ("cylplane", "--h-over-a", "1e8"),
+])
+def test_underflowed_te_share_prints_unsigned_zero(capsys, argv):
+    # e_te underflows to 0 and the total is negative: the share is 0, not -0
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "fraction_te: 0\n" in out
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    record = json.loads(out)
+    assert code == 0 and record["fraction_te"] == 0.0
+    assert math.copysign(1.0, record["fraction_te"]) == 1.0
+
+
 def _failing_solver(exc):
     def energy_exact(*_args, **_kwargs):
         raise exc
@@ -97,11 +113,11 @@ def _failing_solver(exc):
 def test_unmapped_solver_error_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(
         engine, "energy_exact",
-        _failing_solver(RuntimeError("continued fraction for I_n/I_{n+1} did not converge")),
+        _failing_solver(RuntimeError("solver stopped")),
     )
     code, out, err = run(capsys, "cylplane", "--h-over-a", "2")
     assert code == 2 and out == ""
-    assert err == "error: continued fraction for I_n/I_{n+1} did not converge\n"
+    assert err == "error: solver stopped\n"
     monkeypatch.setattr(engine, "energy_exact", _failing_solver(OverflowError("too big")))
     code, _, err = run(capsys, "eccentric", "--alpha", "2", "--delta", "0.5")
     assert code == 2 and err == "error: too big\n"
