@@ -52,8 +52,8 @@ def pfa_bracket(alpha, order):
 
 def pfa_concentric(alpha, order=PfaOrder.LEADING):
     """Proximity-force energy for concentric shells in e_hat units."""
-    if not alpha > 1.0:
-        raise ValueError("alpha must exceed 1")
+    if not 1.0 < alpha < math.inf:
+        raise ValueError("alpha must exceed 1 and be finite")
     s = alpha - 1.0
     return -PFA_LEADING_COEFF / s ** 3 * pfa_bracket(alpha, order)
 
@@ -65,8 +65,8 @@ def large_alpha_asymptote(alpha):
     logarithmic falloff.  Enforced for alpha >= 2; the approximation
     keeps improving as alpha grows.
     """
-    if alpha <= 1.0:
-        raise ValueError("alpha must exceed 1")
+    if not 1.0 < alpha < math.inf:
+        raise ValueError("alpha must exceed 1 and be finite")
     if alpha < 2.0:
         raise ValueError("asymptote is meaningful for alpha >= 2")
     return -LARGE_ALPHA_CONST / (alpha * alpha * math.log(alpha))

@@ -44,8 +44,9 @@ takes one ``log`` and one ``cumsum``, and the ratios themselves give
     I'_n/I_n = (rho_{n-1} + 1/rho_n)/2,   |K'_n|/K_n = (1/sigma_{n-1} + sigma_n)/2,
 
 (1/rho_0 and sigma_0 at n = 0), so TE adds one ``log`` of a quotient of
-positive sums to TM.  Below ``_SMALL_ARGUMENT`` it takes the log-space
-route from the small-argument ladders instead.  The pass runs over
+positive sums to TM.  Below ``_SMALL_ARGUMENT`` the pass runs at x = 1
+instead, and each block's columns there are overwritten from the
+small-argument ladders, taken in log space.  The pass runs over
 blocks of orders (``log_diag_blocks``; ``order_blocks`` gives each block
 2^14 order-by-argument elements per polarization): only rho, which
 recurs downward from n_max, is held whole, while sigma recurs upward a
@@ -392,23 +393,15 @@ def _diag_above(x, n_max):
 
 
 def _diag_blocks(x, n_max):
-    """``_diag_above``'s blocks over flat x, columns below ``_SMALL_ARGUMENT`` from
-    ``_diag_small``."""
+    """``_diag_above``'s blocks over flat x; the columns below ``_SMALL_ARGUMENT`` run
+    at x = 1 and are overwritten in each block from ``_diag_small``."""
     low = x < _SMALL_ARGUMENT
     if not low.any():
         yield from _diag_above(x, n_max)
         return
     small = _diag_small(x[low], n_max)
-    if low.all():
-        yield 0, n_max + 1, small
-        return
-    out = None
-    for a, b, above in _diag_above(x[~low], n_max):
-        if out is None:
-            out = np.empty((2, b - a, x.size))
-        block = out[:, : b - a]
+    for a, b, block in _diag_above(np.where(low, 1.0, x), n_max):
         block[..., low] = small[:, a:b]
-        block[..., ~low] = above
         yield a, b, block
 
 

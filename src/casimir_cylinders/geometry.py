@@ -127,8 +127,8 @@ def gap(g):
 
 def to_physical(e_hat, a, L):
     """Convert e_hat to an energy in Joules for radius a and length L in meters."""
-    if a <= 0.0 or L <= 0.0:
-        raise ValueError("lengths must be positive")
+    if not (0.0 < a < math.inf and 0.0 < L < math.inf):
+        raise ValueError("lengths must be positive and finite")
     return e_hat * HBAR_C * L / (4.0 * math.pi * a * a)
 
 

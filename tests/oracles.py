@@ -249,6 +249,24 @@ def tilde_energy_quadrature(alpha, n_terms=600, nodes=3000):
     return total
 
 
+def tilde_energy_series(alpha):
+    """The resummed uniform-approximant energy from its k-series at 30 digits.
+
+    -(1/s^2) sum_{k>=1} [q_k/(k^3 (1 - q_k)) + 2 s q_k/(k^2 (1 - q_k)^2)],
+    q_k = exp(-2 k s), s = alpha - 1, over every k: mpmath's Euler-Maclaurin
+    rule adds the tail as an integral, so no truncation point is shared with
+    the production sum.
+    """
+    s = mp.mpf(alpha) - 1
+
+    def term(k):
+        q = mp.exp(-2 * k * s)
+        one_minus = -mp.expm1(-2 * k * s)
+        return q / (k ** 3 * one_minus) + 2 * s * q / (k ** 2 * one_minus ** 2)
+
+    return float(-mp.nsum(term, [1, mp.inf], method="euler-maclaurin") / s ** 2)
+
+
 def concentric_energy_scipy(alpha, n_terms=60, beta_max=60.0):
     """Independent concentric energy from scipy's own Bessel implementation.
 

@@ -74,6 +74,13 @@ def test_large_alpha_domain():
         large_alpha_asymptote(1.5)  # below the documented validity floor
 
 
+@pytest.mark.parametrize("fn", [pfa_concentric, large_alpha_asymptote])
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_closed_forms_reject_non_finite_alpha(fn, alpha):
+    with pytest.raises(ValueError, match="finite"):
+        fn(alpha)
+
+
 def test_slow_series_checkpoints():
     assert slow_series(1) == 1.0
     assert slow_series(1000) == pytest.approx(5.5728, abs=5e-5)

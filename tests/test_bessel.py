@@ -240,6 +240,29 @@ def test_log_diag_pair_across_order_blocks():
             assert np.all(np.abs(got[:, n, column] - ref) <= tol), (point, n, got[:, n, column] - ref)
 
 
+# Far-separation batches: every argument below _SMALL_ARGUMENT, and tiny
+# arguments interleaved with ordinary ones; both wider than one order block.
+TINY_POINTS = np.geomspace(1e-300, 9e-9, 40)
+MIXED_POINTS = np.ravel(np.column_stack([TINY_POINTS, np.geomspace(1e-8, 1900.0, 40)]))
+
+
+@pytest.mark.parametrize("x", [TINY_POINTS, MIXED_POINTS], ids=["all-tiny", "mixed"])
+def test_log_diag_pair_of_far_separation_batches(x):
+    n_max = 512
+    assert x.size > bessel._BLOCK_ELEMENTS // (n_max + 1)
+    edges = [a for a, _ in bessel.order_blocks(n_max + 1, x.size)][1:]
+    orders = sorted({0, 1, n_max} | {n for a in edges for n in (a - 1, a)})
+    got = bessel.log_diag_pair(x, n_max)
+    for column in range(0, x.size, 7):
+        for n in orders:
+            ref = np.array(oracles.log_diag_factors(n, x[column]))
+            tol = 1e-14 * np.maximum(1.0, np.abs(ref))
+            assert np.all(np.abs(got[:, n, column] - ref) <= tol), (x[column], n, got[:, n, column] - ref)
+    # a tiny column reads the same in any batch
+    tiny = np.flatnonzero(x < bessel._SMALL_ARGUMENT)
+    assert np.array_equal(got[:, :, tiny], bessel.log_diag_pair(x[tiny], n_max))
+
+
 SEED_ROW_POINTS = (1e-7, 1.0, 40.0, 700.0, 2000.0)
 
 

@@ -143,6 +143,14 @@ def test_si_columns_only_with_both_lengths(capsys):
     assert "energy_joules" not in json.loads(out)
 
 
+@pytest.mark.parametrize("a_meters", ["nan", "inf"])
+def test_non_finite_length_is_a_usage_error(capsys, a_meters):
+    code, out, err = run(capsys, "concentric", "--alpha", "2", "--evaluator", "pfa",
+                         "--a-meters", a_meters, "--L-meters", "1e-2")
+    assert (code, out) == (1, "")
+    assert err == "error: lengths must be positive and finite\n"
+
+
 def test_rel_tol_honored_in_record(capsys):
     code, out, _ = run(capsys, "concentric", "--alpha", "1.3", "--rel-tol", "1e-5", "--format", "json")
     assert code == 0
@@ -623,7 +631,7 @@ def _argv(files):
                   *(_option(f"--{flag}", _value(_SHAPES[flag])) for flag in flags),
                   _option("--geometry-json", st.sampled_from(files["geometry"])),
                   _option("--evaluator", st.sampled_from(list(cli.ALL_EVALUATORS) + ["bogus"])),
-                  _option("--a-meters", st.sampled_from(["1e-6", "0"])),
+                  _option("--a-meters", st.sampled_from(["1e-6", "0", "nan"])),
                   _option("--L-meters", st.sampled_from(["1e-2"])),
                   _option("--dump-matrix", st.sampled_from(files["output"])),
                   _option("--format", st.sampled_from(["text", "json"])),

@@ -1,6 +1,7 @@
 import inspect
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -157,6 +158,37 @@ def test_tilde_energy_against_quadrature_oracle():
 def test_tilde_energy_domain():
     with pytest.raises(ValueError):
         tilde_energy(1.0)
+
+
+# below s = 1e-3 the sum stops at e^{L/4} terms, and the 1/k^4 tail it drops
+# reads about 5e-14 at s = 1e-5
+@pytest.mark.parametrize("s, rel", [
+    (1e-5, 5e-13), (1e-4, 5e-13), (1e-3, 1e-14), (0.032189, 1e-14),
+    (0.118484, 1e-14), (1.0, 1e-14), (10.0, 1e-14), (300.0, 1e-14),
+])
+def test_tilde_energy_against_series_oracle(s, rel):
+    ref = oracles.tilde_energy_series(1.0 + s)
+    assert abs(tilde_energy(1.0 + s) - ref) <= rel * abs(ref)
+
+
+@pytest.mark.parametrize("alpha", [373.0, 400.0, 1e6, 1e308])
+def test_tilde_energy_is_zero_at_once_where_every_term_underflows(alpha):
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            value = tilde_energy(alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 0.0
+    assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_tilde_energy_rejects_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="finite"):
+        tilde_energy(alpha)
 
 
 @pytest.mark.parametrize("alpha", [1.05, 1.1, 1.2, 1.5, 2.0])

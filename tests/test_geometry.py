@@ -111,6 +111,14 @@ def test_to_physical_domain():
         to_physical(1.0, 1.0, -2.0)
 
 
+@pytest.mark.parametrize("a, length", [
+    (math.nan, 1e-2), (math.inf, 1e-2), (1e-6, math.nan), (1e-6, math.inf),
+])
+def test_to_physical_rejects_non_finite_lengths(a, length):
+    with pytest.raises(ValueError, match="finite"):
+        to_physical(-1.0, a, length)
+
+
 def test_geometry_serialization_round_trip():
     for g in (Concentric(1.7), Eccentric(2.0, 0.3), CylinderPlane(2.5)):
         assert geometry_from_dict(geometry_to_dict(g)) == g
