@@ -72,10 +72,14 @@ def large_alpha_asymptote(alpha):
     return -LARGE_ALPHA_CONST / (alpha * alpha * math.log(alpha))
 
 
+def _check_terms(m):
+    if not 1 <= m < math.inf:
+        raise ValueError("M must be at least 1 and finite")
+
+
 def slow_series(m):
     """Partial sum z_M = sum_{n=1..M} n^(-1.1); converges very slowly."""
-    if m < 1:
-        raise ValueError("M must be at least 1")
+    _check_terms(m)
     n = np.arange(1, int(m) + 1, dtype=float)
     return float(np.sum(n ** -1.1))
 
@@ -87,7 +91,6 @@ def accelerated_series(m):
     the integral contributes exactly 10 as M -> inf, so D_M + 10
     estimates z_inf.
     """
-    if m < 1:
-        raise ValueError("M must be at least 1")
+    _check_terms(m)
     integral = 10.0 * (1.0 - float(m) ** -0.1)
     return slow_series(m) - integral + 10.0

@@ -251,8 +251,9 @@ def _i_ratios(x, n, spare=0):
     nu, columns = top - 1.0, np.arange(x.size)
     rho[top - 1, columns] = (nu + 0.5 + np.sqrt((nu + 1.5) ** 2 + x * x)) / x
     rho[top, columns] = np.inf
+    inverse = np.empty(x.size)
     for row, above in zip(rho[-2::-1], rho[:0:-1]):
-        row += 1.0 / above
+        row += np.reciprocal(above, out=inverse)
     return work
 
 
@@ -261,8 +262,9 @@ def _k_ratios(x, k0, k1, n):
     from the seed, and sigma_k = 2k/x + 1/sigma_{k-1} runs upward."""
     sigma = np.multiply.outer(np.arange(float(n)), 2.0 / x)
     sigma[0] = k1 / k0
+    inverse = np.empty(x.size)
     for row, below in zip(sigma[1:], sigma):
-        row += 1.0 / below
+        row += np.reciprocal(below, out=inverse)
     return sigma
 
 
@@ -354,7 +356,7 @@ def _diag_above(x, n_max):
     sigma = work[n_max + 1 + 2 * rows :]  # sigma_{a-1}..sigma_{b-1}
     k0, k1 = _k01_scaled(x)
     tm0 = _log_i0(x, k0, k1, rho[0]) - np.log(k0) + x
-    two_over_x = 2.0 / x
+    two_over_x, inverse = 2.0 / x, np.empty(x.size)
     sigma[1] = k1 / k0
     for a, b in blocks:
         m = b - a
@@ -366,7 +368,7 @@ def _diag_above(x, n_max):
         # sigma_k = 2k/x + 1/sigma_{k-1}, upward
         np.multiply.outer(np.arange(a + lo, b, dtype=float), two_over_x, out=s[1 + lo :])
         for row, below in zip(s[1 + lo :], s[lo:]):
-            row += 1.0 / below
+            row += np.reciprocal(below, out=inverse)
         # TE over TM: (rho_{n-1} + 1/rho_n) / (1/sigma_{n-1} + sigma_n), 1/(rho_0 sigma_0) at
         # n = 0; the TM rows hold the denominator until they are written
         np.divide(1.0, rho[a:b], out=te)

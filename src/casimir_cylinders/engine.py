@@ -5,30 +5,31 @@ Every evaluator computes the dimensionless energy
     e_hat = integral(0, inf) dbeta  beta [ln det(1 - A_TE) + ln det(1 - A_TM)]
 
 through one path for all geometries.  Each geometry family supplies
-only ``evaluate(betas, top)``: the TM and TE log-determinant sums at a
-batch of frequencies for every truncation order up to top.  One
+only ``evaluate(betas, orders)``: the TM and TE log-determinant sums at
+a batch of frequencies, truncated at each of the requested orders.  One
 quadrature step (``_eval_factory``) keeps the last evaluation to answer
-every lower order ``_refine`` asks for on the same frequencies, picks
-the orders evaluated by one policy for every family (first the rung of
-the truncation ladder nearest the predicted order, then exactly the
-order asked for), clips the frequencies at ``_beta_limit`` and chooses
-the quadrature rule (transformed Gauss or adaptive panels); ``_refine``
-climbs that one ladder (``_ladder``; fixed truncation is n_max // 2,
-n_max, order 0 allowed), then grows the node count until the result is
-stable to the requested tolerance.  Resource caps turn a runaway
-refinement into NoConvergenceError instead of a silent bad number.
+the later orders ``_refine`` asks for on the same frequencies, picks
+the orders evaluated by one policy for every family (first the rungs of
+the truncation ladder up to the one nearest the predicted order, then
+exactly the order asked for), clips the frequencies at ``_beta_limit``
+and chooses the quadrature rule (transformed Gauss or adaptive panels);
+``_refine`` climbs that one ladder (``_ladder``; fixed truncation is
+n_max // 2, n_max, order 0 allowed), then grows the node count until the
+result is stable to the requested tolerance.  Resource caps turn a
+runaway refinement into NoConvergenceError instead of a silent bad
+number.
 
 For the dense eccentric and cylinder-plane matrices
 ``kernel.matrix_log_dets`` assembles and factors the whole batch once
-and reads every lower order off the leading minors.  For concentric
-shells the matrices are diagonal and the determinant is a plain sum over
-azimuthal index n: one ``kernel.concentric_log_ratios`` call per
-evaluation gives the TM and TE terms from one fused pass of the
-diagonal ladder over beta and alpha beta, taken in blocks of orders, and
-their cumulative sums over n give every lower order.  The terms are
-folded into those sums in place, block by block, so an evaluation holds
-two full-size arrays, the I-ratio ladder and the result: a working set
-of about 4·(top+1)·nb·8 bytes for nb frequencies.  That sum converges
+at the last order and reads the others off the leading minors.  For
+concentric shells the matrices are diagonal and the determinant is a
+plain sum over azimuthal index n: one ``kernel.concentric_log_ratios``
+call per evaluation gives the TM and TE terms from one fused pass of
+the diagonal ladder over beta and alpha beta, taken in blocks of orders,
+and a running sum over n, carried from block to block, is read at each
+requested order.  An evaluation holds the log ratios and, while they
+are formed, the I-ratio ladder whole: a working set of about
+4·(top+1)·nb·8 bytes for nb frequencies.  That sum converges
 painfully slowly as alpha -> 1, so ``energy_concentric_accelerated``
 subtracts, inside every n >= 1 term of both polarizations, the leading
 large-order approximant
@@ -82,15 +83,16 @@ class NoConvergenceError(RuntimeError):
 
 
 def _log1mexp(a):
-    """log(1 - exp(a)) for a < 0, accurate over the whole range."""
+    """log(1 - exp(a)) for a < 0: log1p(-exp(a)), then log(-expm1(a)) where a > -ln 2
+    (Maechler, "Accurately computing log(1 - exp(-|a|))", 2012)."""
     a = np.asarray(a, dtype=float)
-    small = a > -_LN2
     out = np.exp(a, out=np.empty_like(a))
-    np.expm1(a, out=out, where=small)
     np.negative(out, out=out)
+    small = a > -_LN2
     with np.errstate(divide="ignore"):
-        np.log(out, out=out, where=small)
-        np.log1p(out, out=out, where=~small)
+        np.log1p(out, out=out)
+        if small.any():
+            out[small] = np.log(-np.expm1(a[small]))
     return out
 
 
@@ -133,31 +135,37 @@ def _first_rung(predicted, rungs):
 def _eval_factory(g, t, q, evaluate, n_start=_N_START, offset=0.0):
     """The ``eval_at(n_top, node_count) -> (e_tm, e_te, m_used)`` of ``_refine``.
 
-    ``evaluate(betas, top)`` returns the cumulative TM and TE
-    log-determinant sums over the orders 0..top, shape
-    (len(betas), 2, top+1), and the largest inner-sum cutoff it used.  One
-    cache keeps the last evaluation, so a request at n_top <= top on the
-    same frequencies reads entry n_top; it lets go of the last before the
-    next is formed.  The first evaluation runs at the rung of ``_ladder``
-    from ``n_start`` nearest the predicted order
-    (n_max without adapt); a miss and new frequencies (the node doubling
-    at the final order) run at exactly n_top.  Frequencies beyond
-    ``_beta_limit`` contribute zero and are never evaluated.  ``offset``
-    is added to the energy of each polarization.
+    ``evaluate(betas, orders)`` returns the TM and TE log-determinant
+    sums truncated at each of the increasing ``orders``, shape
+    (len(betas), 2, len(orders)), and the largest inner-sum cutoff it
+    used.  One cache keeps the last evaluation, so a request at one of its
+    orders on the same frequencies reads that column; it lets go of the
+    last before the next is formed.  The first evaluation asks for the
+    rungs of ``_ladder`` from ``n_start`` up to the rung nearest the
+    predicted order (n_max without adapt); a miss and new frequencies (the
+    node doubling at the final order) ask for exactly n_top.  Only
+    0 < beta <= ``_beta_limit`` is evaluated; the rest contributes zero (a
+    huge shape's nodes underflow to beta = 0).  ``offset`` is added to the
+    energy of each polarization.
     """
     decay = 1.0 / (2.0 * gap(g))
     limit = _beta_limit(g)
-    first = _first_rung(_predicted_order(g, t), _ladder(t, n_start))
-    seen, cum, m_used = None, None, 0
+    rungs = _ladder(t, n_start)
+    first = _first_rung(_predicted_order(g, t), rungs)
+    seen, orders, sums, m_used = None, [], None, 0
 
-    def sums(betas, n_top):
-        nonlocal seen, cum, m_used
-        if seen is None or n_top >= cum.shape[2] or not np.array_equal(betas, seen):
-            top = max(n_top, first) if seen is None else n_top
-            seen = cum = None  # so that two evaluations are never held at once
-            cum, m_used = evaluate(betas, top)
-            seen = betas
-        return cum[:, :, n_top], m_used
+    def sums_at(betas, n_top):
+        nonlocal seen, orders, sums, m_used
+        if seen is None or n_top not in orders or not np.array_equal(betas, seen):
+            if seen is None:
+                top = max(n_top, first)
+                wanted = sorted({n for n in rungs if n <= top} | {n_top})
+            else:
+                wanted = [n_top]
+            seen = sums = None  # so that two evaluations are never held at once
+            sums, m_used = evaluate(betas, wanted)
+            seen, orders = betas, wanted
+        return sums[:, :, orders.index(n_top)], m_used
 
     def eval_at(n_top, node_count):
         m_seen = 0
@@ -165,9 +173,9 @@ def _eval_factory(g, t, q, evaluate, n_start=_N_START, offset=0.0):
         def weighted(betas):
             nonlocal m_seen
             out = np.zeros((betas.size, 2))
-            keep = betas <= limit
+            keep = (betas > 0.0) & (betas <= limit)
             if keep.any():
-                s, m = sums(betas[keep], n_top)
+                s, m = sums_at(betas[keep], n_top)
                 out[keep] = betas[keep, None] * s
                 m_seen = max(m_seen, m)
             return out
@@ -185,23 +193,39 @@ def _eval_factory(g, t, q, evaluate, n_start=_N_START, offset=0.0):
 # ---------------------------------------------------------------------------
 # Concentric shells: diagonal kernel, vectorized over the frequency grid.
 
+def _order_sum(rows, out):
+    """``rows`` (2, m, nb) summed over the order axis into ``out`` (2, nb), row after row
+    as ``np.cumsum`` adds them.  numpy reduces an axis that is not the innermost row by
+    row; with one frequency the order axis is the innermost, where it sums pairwise, so
+    that case accumulates instead."""
+    if rows.shape[2] > 1:
+        return np.add.reduce(rows, axis=1, out=out)
+    out[...] = np.add.accumulate(rows, axis=1)[:, -1]
+    return out
+
+
 def _concentric_integrand(g, accelerated):
-    """``evaluate`` of the folded sums g_0 + 2 sum_{n=1..top} g_n, g_n = ln(1 - r_n).
+    """``evaluate`` of the folded sums g_0 + 2 sum_{n=1..N} g_n, g_n = ln(1 - r_n), at N in orders.
 
     In the accelerated variant every n >= 1 term of either polarization
     has ln(1 - q_n) subtracted, q_n being the resummed uniform approximant.
-    A term at order n does not depend on the truncation, so the cumulative
-    folded sums of one evaluation serve every lower order.  The sums
-    overwrite the log ratios they come from, one block of
-    ``bessel.order_blocks`` over the frequencies at a time (as many
-    elements per polarization as a ladder block), each block's running
-    sum starting from the last row of the block before.
+    A term at order n does not depend on the truncation, so one pass up to
+    the last order serves every order asked for.  The terms are formed one
+    block of ``bessel.order_blocks`` over the frequencies at a time (as many
+    elements per polarization as a ladder block), and a running sum crosses
+    the blocks: each stretch of rows up to an order asked for, or to a
+    block's end, joins it by one ``_order_sum``, so every sum is the
+    cumulative sum's row bit for bit.
     """
     alpha = g.alpha
 
-    def evaluate(betas, top):
+    def evaluate(betas, orders):
+        top = orders[-1]
         log_r = kernel.concentric_log_ratios(betas, alpha, top)  # (2, top + 1, nb)
         beta2 = betas * betas
+        sums = np.empty((len(orders), 2, betas.size))
+        block_end = np.empty((2, betas.size))  # the running sum at the end of a block
+        k, carry = 0, None
         for a, b in order_blocks(top + 1, betas.size):
             terms = _log1mexp(log_r[:, a:b])
             lo = max(a, 1) - a  # the block's first row with n >= 1
@@ -209,10 +233,16 @@ def _concentric_integrand(g, accelerated):
                 n = np.arange(a + lo, b)[:, None]
                 terms[:, lo:] -= _log1mexp(-2.0 * (alpha - 1.0) * np.sqrt(n * n + beta2))
             terms[:, lo:] *= 2.0
-            if a:
-                terms[:, 0] += log_r[:, a - 1]
-            np.cumsum(terms, axis=1, out=log_r[:, a:b])
-        return log_r.transpose(2, 0, 1), 0
+            start = a
+            while start < b:
+                stop = min(orders[k] + 1, b)
+                rows = terms[:, start - a : stop - a]
+                if carry is not None:
+                    rows[:, 0] += carry
+                closes = stop == orders[k] + 1
+                carry = _order_sum(rows, sums[k] if closes else block_end)
+                k, start = k + closes, stop
+        return sums.transpose(2, 1, 0), 0
 
     return evaluate
 
@@ -261,8 +291,9 @@ def _matrix_integrand(g, t):
             f"predicted truncation order {predicted} exceeds twice the cap n_max = {t.n_max}"
         )
 
-    def evaluate(betas, top):
-        return kernel.matrix_log_dets(betas, g, replace(t, n_max=top))
+    def evaluate(betas, orders):
+        log_dets, m_used = kernel.matrix_log_dets(betas, g, replace(t, n_max=orders[-1]))
+        return log_dets[:, :, orders], m_used
 
     return evaluate
 

@@ -49,6 +49,12 @@ def test_pfa_domain():
     (pfa_bracket, (1.5, "x"), "unknown order"),
     (slow_series, (0,), "M must be at least 1"),
     (accelerated_series, (0,), "M must be at least 1"),
+    # a non-finite M is named, not an OverflowError or a bare int() failure
+    (slow_series, (math.inf,), "M must be at least 1 and finite"),
+    (slow_series, (math.nan,), "M must be at least 1 and finite"),
+    (accelerated_series, (math.inf,), "M must be at least 1 and finite"),
+    (accelerated_series, (math.nan,), "M must be at least 1 and finite"),
+    (accelerated_series, (-math.inf,), "M must be at least 1 and finite"),
 ])
 def test_invalid_arguments_are_named(fn, args, message):
     with pytest.raises(ValueError, match=message):

@@ -89,6 +89,21 @@ def test_underflowing_energy_exits_2_named(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("concentric", "--alpha", "1e308"),
+    ("cylplane", "--h-over-a", "1e308"),
+    ("eccentric", "--alpha", "1e308", "--delta", "0.5"),
+    ("concentric", "--alpha", "1.7e308", "--evaluator", "accelerated"),
+    ("concentric", "--alpha", "1e308", "--rule", "adaptive-panel"),
+])
+def test_zero_frequency_nodes_are_not_evaluated(capsys, argv):
+    # the mapped nodes underflow to beta = 0, where K_n diverges; they weigh
+    # nothing, so these shapes fail as an underflowed energy, not in the ladders
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("no-convergence:") and "underflow" in err
+
+
+@pytest.mark.parametrize("argv", [
     ("cylplane", "--h-over-a", "1e100"),
     ("eccentric", "--alpha", "1e100", "--delta", "0.5"),
     ("cylplane", "--h-over-a", "1e8"),
@@ -264,6 +279,27 @@ def test_sweep_timing_fills_only_wall_ms(capsys):
     for row in cells[1:]:
         row[col] = "0"
     assert "".join(",".join(row) + "\n" for row in cells) == outputs["csv", False]
+
+
+# The sweeps of tests/data/sweep_golden.csv, one after another; CI compares the
+# installed console script's output with --workers 2 against the same file.
+GOLDEN_SWEEPS = (
+    ("--family", "concentric", "--alpha", "1.05,1.3,2", "--evaluators", "exact,accelerated,nntl"),
+    ("--family", "cylplane", "--h-over-a", "1.5,2.5"),
+    ("--family", "eccentric", "--alpha", "2", "--delta", "0.25,0.5"),
+)
+
+
+def test_sweep_output_matches_the_golden_file(capsys):
+    # faster code must print the same bytes
+    outputs = []
+    for argv in GOLDEN_SWEEPS:
+        code, out, err = run(capsys, "sweep", *argv)
+        assert code == 0, err
+        outputs.append(out)
+    path = os.path.join(os.path.dirname(__file__), "data", "sweep_golden.csv")
+    with open(path, newline="") as fh:
+        assert "".join(outputs) == fh.read()
 
 
 def test_sweep_worker_determinism(tmp_path, capsys):

@@ -2,13 +2,15 @@ import inspect
 import math
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from casimir_cylinders import kernel
+from casimir_cylinders import bessel, kernel
 from casimir_cylinders.baselines import PfaOrder, pfa_bracket, pfa_concentric
 from casimir_cylinders import engine
 from casimir_cylinders.engine import (
@@ -311,11 +313,11 @@ def test_concentric_evaluation_working_set(accelerated):
     evaluate = _concentric_integrand(g, accelerated)
     tracemalloc.start()
     try:
-        cum, _ = evaluate(betas, 512)
+        sums, _ = evaluate(betas, [512])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert cum.shape == (betas.size, 2, 513)
+    assert sums.shape == (betas.size, 2, 1)
     assert peak <= 5.5 * unit, peak / unit
 
 
@@ -324,22 +326,86 @@ def test_eval_factory_lets_go_of_the_last_evaluation():
     # dropped before the second is formed, so the two are never held at once
     g = Concentric(1.02)
     evaluate = _concentric_integrand(g, accelerated=False)
-    held = []
+    held = []  # a weak reference to the sums of every evaluation
 
-    def traced(betas, top):
-        held.append(tracemalloc.get_traced_memory()[0])
-        return evaluate(betas, top)
+    def traced(betas, orders):
+        assert all(ref() is None for ref in held)
+        sums, m_used = evaluate(betas, orders)
+        held.append(weakref.ref(sums.base))
+        return sums, m_used
 
     eval_at = _eval_factory(g, TruncationSpec(), QuadratureSpec(), traced)
-    tracemalloc.start()
-    try:
-        eval_at(512, 256)
-        eval_at(512, 512)
-    finally:
-        tracemalloc.stop()
-    first_sums = 2 * 513 * _concentric_grid(g, 256).size * 8
-    assert len(held) == 2
-    assert held[1] - held[0] < 0.25 * first_sums, (held[1] - held[0]) / first_sums
+    eval_at(512, 256)
+    eval_at(512, 512)
+    assert len(held) == 2 and held[1]() is not None
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("block_elements", [bessel._BLOCK_ELEMENTS, 64])
+@pytest.mark.parametrize("nb", [1, 2, 37, 116])
+@pytest.mark.parametrize("accelerated", [False, True])
+def test_concentric_fold_matches_cumulative_sums(accelerated, nb, block_elements, monkeypatch):
+    # the running sum at every order asked for is the cumulative sum of the
+    # terms bit for bit: numpy adds a reduced order axis row by row, as
+    # cumsum does, and the carry enters each stretch of rows as cumsum's
+    # previous row would; small blocks put block edges among the orders
+    monkeypatch.setattr(bessel, "_BLOCK_ELEMENTS", block_elements)
+    g, top = Concentric(1.05), 300
+    rng = np.random.default_rng(nb)
+    betas = np.sort(rng.uniform(1e-3, 60.0, nb))
+    terms = engine._log1mexp(kernel.concentric_log_ratios(betas, g.alpha, top))
+    if accelerated:
+        n = np.arange(1, top + 1)[:, None]
+        terms[:, 1:] -= engine._log1mexp(-2.0 * (g.alpha - 1.0) * np.sqrt(n * n + betas * betas))
+    terms[:, 1:] *= 2.0
+    reference = np.cumsum(terms, axis=1).transpose(2, 0, 1)
+    edges = {e + d for e, _ in bessel.order_blocks(top + 1, nb) for d in (-1, 0, 1)}
+    edges = sorted(e for e in edges if 0 <= e < top)
+    evaluate = _concentric_integrand(g, accelerated)
+    for _ in range(4):
+        picked = rng.choice(top, size=rng.integers(0, 12), replace=False).tolist()
+        picked += rng.choice(edges, size=min(3, len(edges)), replace=False).tolist()
+        orders = sorted(set(picked) | {top})  # the ladder depends on its top order
+        sums, m_used = evaluate(betas, orders)
+        assert sums.shape == (nb, 2, len(orders)) and m_used == 0
+        assert np.array_equal(_bits(sums), _bits(reference[:, :, orders]))
+
+
+def _log1mexp_branches(a):
+    """The two-branch formula, one element at a time."""
+    out = [np.log(-np.expm1(x)) if x > -math.log(2.0) else np.log1p(-np.exp(x)) for x in a.ravel()]
+    return np.array(out).reshape(a.shape)
+
+
+def _edge_points():
+    edge = np.float64(-math.log(2.0))
+    points = [edge]
+    for direction in (-np.inf, np.inf):
+        x = edge
+        for _ in range(3):
+            x = np.nextafter(x, direction)
+            points.append(x)
+    return np.array(points + [-1e-17, -5e-324, -745.0, -1e3, -0.5, -1.0, -36.0, -40.0])
+
+
+def test_log1mexp_matches_the_branch_formula_bit_for_bit():
+    rng = np.random.default_rng(5)
+    block = -np.exp(rng.uniform(math.log(1e-20), math.log(1e3), (2, 9, 13)))
+    block[0, 0, :6] = _edge_points()[:6]
+    for a in (_edge_points(), block, block[:, 2:5], np.float64(-0.25), -1e-300):
+        got = engine._log1mexp(a)  # a RuntimeWarning here fails the test
+        assert np.shape(got) == np.shape(a)
+        assert np.array_equal(_bits(got), _bits(_log1mexp_branches(np.asarray(a, dtype=float))))
+
+
+def test_log1mexp_against_mpmath():
+    for a in _edge_points():
+        with mp.workdps(50):
+            exact = float(mp.log(-mp.expm1(mp.mpf(float(a)))))
+        assert engine._log1mexp(a) == pytest.approx(exact, rel=4e-16, abs=5e-324), a
 
 
 @settings(max_examples=12, deadline=None)
