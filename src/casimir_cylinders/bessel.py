@@ -394,28 +394,23 @@ def _diag_above(x, n_max):
         yield a, b, out[:, :m]
 
 
-def _diag_blocks(x, n_max):
-    """``_diag_above``'s blocks over flat x; the columns below ``_SMALL_ARGUMENT`` run
-    at x = 1 and are overwritten in each block from ``_diag_small``."""
-    low = x < _SMALL_ARGUMENT
-    if not low.any():
-        yield from _diag_above(x, n_max)
-        return
-    small = _diag_small(x[low], n_max)
-    for a, b, block in _diag_above(np.where(low, 1.0, x), n_max):
-        block[..., low] = small[:, a:b]
-        yield a, b, block
-
-
 def log_diag_blocks(x, n_max):
     """``log_diag_pair(x, n_max)`` over the flattened x, one order block at a time.
 
-    Returns an iterator of (a, b, block), block of shape (2, b - a, x.size) holding
-    orders a..b-1, in increasing order; x and n_max are checked at once.  A block is
-    overwritten by the next, so read each before advancing.
+    Yields (a, b, block), block of shape (2, b - a, x.size) holding orders a..b-1,
+    in increasing order, from ``_diag_above``; x and n_max are checked at the first
+    block.  Columns below ``_SMALL_ARGUMENT`` run at x = 1 and are overwritten in
+    each block from ``_diag_small``.  A block is overwritten by the next, so read
+    each before advancing.
     """
     x, n_max = _checked(x, n_max)
-    return _diag_blocks(x.reshape(-1), n_max)
+    x = x.reshape(-1)
+    low = x < _SMALL_ARGUMENT
+    small = _diag_small(x[low], n_max) if low.any() else None
+    for a, b, block in _diag_above(np.where(low, 1.0, x), n_max):
+        if small is not None:
+            block[..., low] = small[:, a:b]
+        yield a, b, block
 
 
 def log_diag_pair(x, n_max):
@@ -429,12 +424,11 @@ def log_diag_pair(x, n_max):
     ``_SMALL_ARGUMENT`` the small-argument ladders serve instead.
     Requires x > 0.
     """
-    shape = np.shape(x)
-    blocks = log_diag_blocks(x, n_max)
-    out = np.empty((2, int(n_max) + 1, math.prod(shape)))
-    for a, b, block in blocks:
+    x, n_max = _checked(x, n_max)
+    out = np.empty((2, n_max + 1, x.size))
+    for a, b, block in log_diag_blocks(x, n_max):
         out[:, a:b] = block
-    return out.reshape(out.shape[:2] + shape)
+    return out.reshape(out.shape[:2] + x.shape)
 
 
 def log_di_ladder(x, n_max):

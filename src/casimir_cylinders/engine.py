@@ -24,15 +24,15 @@ For the dense eccentric and cylinder-plane matrices
 at the last order and reads the others off the leading minors.  For
 concentric shells the matrices are diagonal and the determinant is a
 plain sum over azimuthal index n: one ``kernel.concentric_log_ratios``
-call per evaluation gives the TM and TE terms from one fused pass of
-the diagonal ladder over beta and alpha beta, taken in blocks of orders,
-and a running sum over n, carried from block to block, is read at each
-requested order.  An evaluation holds the log ratios and, while they
-are formed, the I-ratio ladder whole: a working set of about
-4·(top+1)·nb·8 bytes for nb frequencies.  That sum converges
-painfully slowly as alpha -> 1, so ``energy_concentric_accelerated``
-subtracts, inside every n >= 1 term of both polarizations, the leading
-large-order approximant
+pass per evaluation yields the TM and TE log ratios a block of orders
+at a time, from one fused pass of the diagonal ladder over beta and
+alpha beta, and each block joins a running sum over n, carried from
+block to block and read at each requested order.  An evaluation holds
+only the I-ratio ladder over both arguments whole, and one block: a
+working set of about 3·(top+1)·nb·8 bytes for nb frequencies.  That
+sum converges painfully slowly as alpha -> 1, so
+``energy_concentric_accelerated`` subtracts, inside every n >= 1 term of
+both polarizations, the leading large-order approximant
 
     r_n(beta) ~ q_n(beta) = exp(-2 (alpha - 1) sqrt(n^2 + beta^2)),
 
@@ -48,7 +48,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import kernel
-from .bessel import LADDER_MAX_ARGUMENT, order_blocks
+from .bessel import LADDER_MAX_ARGUMENT
 from .geometry import (
     NODE_CAP,
     Concentric,
@@ -210,24 +210,21 @@ def _concentric_integrand(g, accelerated):
     In the accelerated variant every n >= 1 term of either polarization
     has ln(1 - q_n) subtracted, q_n being the resummed uniform approximant.
     A term at order n does not depend on the truncation, so one pass up to
-    the last order serves every order asked for.  The terms are formed one
-    block of ``bessel.order_blocks`` over the frequencies at a time (as many
-    elements per polarization as a ladder block), and a running sum crosses
-    the blocks: each stretch of rows up to an order asked for, or to a
-    block's end, joins it by one ``_order_sum``, so every sum is the
-    cumulative sum's row bit for bit.
+    the last order serves every order asked for.  The terms are formed from
+    each block that ``kernel.concentric_log_ratios`` yields, and a running
+    sum crosses the blocks: each stretch of rows up to an order asked for,
+    or to a block's end, joins it by one ``_order_sum``, so every sum is
+    the cumulative sum's row bit for bit.
     """
     alpha = g.alpha
 
     def evaluate(betas, orders):
-        top = orders[-1]
-        log_r = kernel.concentric_log_ratios(betas, alpha, top)  # (2, top + 1, nb)
         beta2 = betas * betas
         sums = np.empty((len(orders), 2, betas.size))
         block_end = np.empty((2, betas.size))  # the running sum at the end of a block
         k, carry = 0, None
-        for a, b in order_blocks(top + 1, betas.size):
-            terms = _log1mexp(log_r[:, a:b])
+        for a, b, log_r in kernel.concentric_log_ratios(betas, alpha, orders[-1]):
+            terms = _log1mexp(log_r)
             lo = max(a, 1) - a  # the block's first row with n >= 1
             if accelerated:
                 n = np.arange(a + lo, b)[:, None]

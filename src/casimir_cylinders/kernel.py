@@ -26,9 +26,10 @@ polarizations at beta and alpha beta from one pass of
 ratio recurrences, whose ratios rho_n = I_n/I_{n+1} and
 sigma_n = K_{n+1}/K_n also give the TE factors through
 I'_n/I_n = (rho_{n-1} + 1/rho_n)/2 and |K'_n|/K_n = (1/sigma_{n-1} + sigma_n)/2.
-The pass yields blocks of orders, and each block's beta-minus-alpha-beta
-difference goes straight into the (2, n_max+1, nb) result, so no
-(TM, TE) ladder over both arguments is ever formed whole.
+The pass runs over blocks of orders, and ``concentric_log_ratios``
+yields each block's beta-minus-alpha-beta difference in turn, so neither
+the (TM, TE) ladder over both arguments nor the log ratios over all
+orders are ever formed whole.
 In the cylinder-plane limit the inner sum reduces, via the addition
 theorem for modified Bessel functions, to a single K:
 
@@ -132,21 +133,19 @@ class SpectralMatrix:
 
 
 def concentric_log_ratios(beta, alpha, n_max):
-    """log r_n for n = 0..n_max at a single beta (or an array of betas).
+    """log r_n for n = 0..n_max at the flattened betas, one block of orders at a time.
 
     r_n = d_n(beta) / d_n(alpha beta), d_n the diagonal factor of
     ``bessel.log_diag_pair``, taken in one pass over beta and alpha beta
-    together.  Each order block of ``bessel.log_diag_blocks`` is written
-    straight into the result as the difference of its two halves.  Both
-    polarizations, shape (2, n_max + 1) + beta.shape in (TM, TE) order.
+    together.  Yields (a, b, log_r) in increasing order, log_r of shape
+    (2, b - a, nb) holding orders a..b-1 of both polarizations in (TM, TE)
+    order: the difference of the two halves of a ``bessel.log_diag_blocks``
+    block, a new array that outlives the block.
     """
-    betas = np.asarray(beta, dtype=float)
+    betas = np.asarray(beta, dtype=float).reshape(-1)
     nb = betas.size
-    blocks = log_diag_blocks(np.concatenate([betas.ravel(), alpha * betas.ravel()]), n_max)
-    log_r = np.empty((2, int(n_max) + 1, nb))
-    for a, b, block in blocks:
-        np.subtract(block[..., :nb], block[..., nb:], out=log_r[:, a:b])
-    return log_r.reshape(log_r.shape[:-1] + betas.shape)
+    for a, b, block in log_diag_blocks(np.concatenate([betas, alpha * betas]), n_max):
+        yield a, b, block[..., :nb] - block[..., nb:]
 
 
 def _checked_beta(beta, g, cls, type_message):
@@ -167,7 +166,8 @@ def build_concentric(beta, g, pol, n_max=32):
     sit below its neighbour at small beta).
     """
     beta = _checked_beta(beta, g, Concentric, "build_concentric expects a Concentric geometry")
-    log_r = concentric_log_ratios(beta, g.alpha, n_max)[_POLARIZATIONS.index(pol)]
+    blocks = [log_r for _, _, log_r in concentric_log_ratios(beta, g.alpha, n_max)]
+    log_r = np.concatenate(blocks, axis=1)[_POLARIZATIONS.index(pol), :, 0]
     folded = np.concatenate([log_r[::-1], log_r[1:]])
     return np.exp(folded)
 

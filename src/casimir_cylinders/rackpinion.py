@@ -107,8 +107,12 @@ class ProfileJ:
 
     @classmethod
     def from_file(cls, path):
-        """Two-column text file: d/lambda and J(d/lambda)."""
-        return cls.from_table(np.loadtxt(path, ndmin=2))
+        """Two-column text file: d/lambda and J(d/lambda).  An empty file is left to
+        the shape check of ``from_table``, without numpy's no-data warning."""
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(path, ndmin=2)
+        return cls.from_table(table)
 
     def __call__(self, ratio):
         return np.interp(ratio, self._ratios, self._values)

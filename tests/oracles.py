@@ -304,3 +304,44 @@ def concentric_energy_scipy(alpha, n_terms=60, beta_max=60.0):
 
     value, _ = quad(integrand, 0.0, beta_max, limit=300, epsabs=1e-13, epsrel=1e-11)
     return value
+
+
+def eccentric_log_det_x2(beta, alpha, pol):
+    """The x^2 coefficient of ln det(1 - A) for nearly concentric shells, x = beta delta.
+
+    Small-eccentricity expansion (cf. Dalvit, Lombardo, Mazzitelli & Onofrio,
+    Europhys. Lett. 67, 517, 2004).  In A_np = d_n sum_m c_m I_{m-n}(x) I_{m-p}(x),
+    I_0(x) ~ 1 + x^2/4 and I_{+-1}(x) ~ x/2 give the diagonal
+    A_nn = r_n + x^2 [r_n/2 + d_n (c_{n-1} + c_{n+1})/4], r_n = d_n c_n, and the
+    first off-diagonal A_{n,n+1} = d_n (x/2)(c_n + c_{n+1}); to second order
+
+        ln det(1 - A) = sum ln(1 - r_n) - x^2 sum [r_n/2 + d_n (c_{n-1} + c_{n+1})/4] / (1 - r_n)
+                        - (x/2)^2 sum d_n d_{n+1} (c_n + c_{n+1})^2 / ((1 - r_n)(1 - r_{n+1})),
+
+    sums over |n| <= n_max with d_{-n} = d_n and c_{-n} = c_n; d_n = I_n(beta)/K_n(beta)
+    and c_m = K_m(alpha beta)/I_m(alpha beta) (TM), the magnitudes of the primed ones for
+    TE.  Unscaled scipy iv/kv: n_max = 20 below beta = 1 and 40 up to beta = 10 keeps
+    every value in double range.
+    """
+    from scipy.special import iv, kv
+
+    n_max = 20 if beta < 1.0 else 40
+    orders = np.arange(n_max + 2)  # c_{n+1} at n = n_max
+
+    def i_k(x):
+        """(I, |K|) at ``orders``, primed for TE."""
+        if pol == "TM":
+            return iv(orders, x), kv(orders, x)
+        wide = np.arange(n_max + 3)
+        i, k = iv(wide, x), kv(wide, x)
+        lo, hi = np.abs(orders - 1), orders + 1
+        return 0.5 * (i[lo] + i[hi]), 0.5 * (k[lo] + k[hi])
+
+    i_b, k_b = i_k(beta)
+    i_ab, k_ab = i_k(alpha * beta)
+    d, c = i_b / k_b, k_ab / i_ab
+    n = np.abs(np.arange(-n_max, n_max + 1))  # n[j + 1] = |n + 1| for n[j] = |n|
+    r = d[n] * c[n]
+    diagonal = (r / 2 + d[n] * (c[np.abs(n - 1)] + c[n + 1]) / 4) / (1 - r)
+    pairs = d[n[:-1]] * d[n[1:]] * (c[n[:-1]] + c[n[1:]]) ** 2 / ((1 - r[:-1]) * (1 - r[1:]))
+    return float(-diagonal.sum() - pairs.sum() / 4)

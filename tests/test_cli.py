@@ -509,6 +509,19 @@ def test_malformed_input_is_a_named_usage_error(tmp_path, capsys, argv, files):
     assert "Traceback" not in err
 
 
+def test_empty_j_table_prints_only_the_named_error(tmp_path):
+    # a fresh interpreter with the default warning filters, so a warning
+    # from reading the file would reach stderr ahead of the error line
+    path = tmp_path / "j.txt"
+    path.write_text("")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(casimir_cylinders.__file__)))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-m", "casimir_cylinders.cli", *_RACKPINION, "--j-table", str(path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: need a two-column table of d/lambda and J, got shape (0, 1)\n"
+
+
 @pytest.mark.parametrize("key", ["rel_tol", "nodes", "scale"])
 @pytest.mark.parametrize("value", ["true", "false"])
 def test_config_booleans_are_a_named_usage_error(tmp_path, capsys, key, value):

@@ -231,8 +231,9 @@ def test_n0_term_is_kept_exactly():
     alpha = 1.2
     betas, _ = semi_infinite_nodes(1.0 / (2.0 * (alpha - 1.0)), 32)
     betas = betas[betas <= _beta_limit(Concentric(alpha))]
-    log_r = kernel.concentric_log_ratios(betas, alpha, 24)[0]  # TM
-    assert np.abs(np.log1p(-np.exp(log_r[0]))).max() > 1e-3
+    a, _, log_r = next(kernel.concentric_log_ratios(betas, alpha, 24))
+    assert a == 0
+    assert np.abs(np.log1p(-np.exp(log_r[0, 0]))).max() > 1e-3  # TM, n = 0
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +307,8 @@ def _concentric_grid(g, nodes):
 @pytest.mark.parametrize("accelerated", [False, True])
 def test_concentric_evaluation_working_set(accelerated):
     # the order-block pass holds only the I-ratio ladder over beta and alpha
-    # beta and the (2, top + 1, nb) result whole, two units each
+    # beta whole (two units and its extension rows); the log ratios are
+    # folded one block at a time
     g = Concentric(1.02)
     betas = _concentric_grid(g, 256)
     unit = 513 * betas.size * 8  # one (top + 1, nb) float64 array
@@ -318,7 +320,7 @@ def test_concentric_evaluation_working_set(accelerated):
     finally:
         tracemalloc.stop()
     assert sums.shape == (betas.size, 2, 1)
-    assert peak <= 5.5 * unit, peak / unit
+    assert peak <= 3.5 * unit, peak / unit
 
 
 def test_eval_factory_lets_go_of_the_last_evaluation():
@@ -356,13 +358,14 @@ def test_concentric_fold_matches_cumulative_sums(accelerated, nb, block_elements
     g, top = Concentric(1.05), 300
     rng = np.random.default_rng(nb)
     betas = np.sort(rng.uniform(1e-3, 60.0, nb))
-    terms = engine._log1mexp(kernel.concentric_log_ratios(betas, g.alpha, top))
+    blocks = [log_r for _, _, log_r in kernel.concentric_log_ratios(betas, g.alpha, top)]
+    terms = engine._log1mexp(np.concatenate(blocks, axis=1))
     if accelerated:
         n = np.arange(1, top + 1)[:, None]
         terms[:, 1:] -= engine._log1mexp(-2.0 * (g.alpha - 1.0) * np.sqrt(n * n + betas * betas))
     terms[:, 1:] *= 2.0
     reference = np.cumsum(terms, axis=1).transpose(2, 0, 1)
-    edges = {e + d for e, _ in bessel.order_blocks(top + 1, nb) for d in (-1, 0, 1)}
+    edges = {e + d for e, _ in bessel.order_blocks(top + 1, 2 * nb) for d in (-1, 0, 1)}
     edges = sorted(e for e in edges if 0 <= e < top)
     evaluate = _concentric_integrand(g, accelerated)
     for _ in range(4):

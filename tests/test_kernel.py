@@ -69,8 +69,31 @@ def test_concentric_ratios_run_one_seed(monkeypatch):
     seed = bessel._k01_scaled
     monkeypatch.setattr(bessel, "_k01_scaled", lambda x: calls.append(x.size) or seed(x))
     betas = np.geomspace(1e-3, 300.0, 64)
-    kernel.concentric_log_ratios(betas, 1.5, 181)
+    for _ in kernel.concentric_log_ratios(betas, 1.5, 181):
+        pass
     assert calls == [2 * betas.size]
+
+
+@pytest.mark.parametrize("block_elements", [bessel._BLOCK_ELEMENTS, 64])
+@pytest.mark.parametrize("betas", [
+    np.array([0.7]),
+    # below _SMALL_ARGUMENT at beta and alpha beta, and at beta alone
+    np.concatenate([np.geomspace(1e-300, 5e-9, 4), [8e-9], np.geomspace(1e-3, 300.0, 40)]),
+], ids=["one", "with-tiny"])
+def test_concentric_ratio_blocks_tile_the_orders(betas, block_elements, monkeypatch):
+    # the blocks cover orders 0..n_max in order, and each is the difference of
+    # the halves of log_diag_pair over the same batch, bit for bit; read after
+    # the last, so no block shares the buffer the next one overwrites
+    monkeypatch.setattr(bessel, "_BLOCK_ELEMENTS", block_elements)
+    alpha, n_max, nb = 1.5, 60, betas.size
+    pair = bessel.log_diag_pair(np.concatenate([betas, alpha * betas]), n_max)
+    start = 0
+    for a, b, log_r in list(kernel.concentric_log_ratios(betas, alpha, n_max)):
+        assert a == start < b and log_r.shape == (2, b - a, nb)
+        reference = pair[:, a:b, :nb] - pair[:, a:b, nb:]
+        assert np.array_equal(log_r.view(np.uint64), reference.view(np.uint64))
+        start = b
+    assert start == n_max + 1
 
 
 def test_concentric_ratio_example():
@@ -313,6 +336,24 @@ def test_batched_log_dets_across_groups_match_per_frequency_builds(g, n, betas, 
                 sign, value = np.linalg.slogdet(np.eye(2 * k + 1) - block)
                 assert sign == 1.0
                 assert log_dets[i, j, k] == pytest.approx(value, rel=1e-12, abs=1e-12)
+
+
+def test_quasi_concentric_log_dets_follow_the_delta_squared_expansion():
+    # the independent second-order expansion in x = beta delta (oracles.py):
+    # (ln det at delta - ln det at 0) / x^2 tends to its coefficient with an
+    # O(delta^2) deviation, 3.0-4.9e-4 at delta = 0.01 on these frequencies
+    alpha, betas = 1.5, np.array([0.05, 0.3, 1.0, 3.0])
+    t = TruncationSpec(n_max=40, rel_tol=1e-14)
+    concentric, _ = kernel.matrix_log_dets(betas, Eccentric(alpha, 0.0), t)
+    oracle = np.array([[oracles.eccentric_log_det_x2(b, alpha, pol) for pol in ("TM", "TE")] for b in betas])
+    deviation = {}
+    for delta in (0.01, 0.02):
+        log_dets, _ = kernel.matrix_log_dets(betas, Eccentric(alpha, delta), t)
+        coefficient = (log_dets[:, :, -1] - concentric[:, :, -1]) / (betas[:, None] * delta) ** 2
+        deviation[delta] = np.abs(coefficient / oracle - 1.0)
+    assert np.all(deviation[0.01] < 1e-3), deviation[0.01]
+    growth = deviation[0.02] / deviation[0.01]
+    assert np.all((3.5 < growth) & (growth < 4.5)), growth
 
 
 def test_matrix_log_dets_take_the_frequency_ladders_once(monkeypatch):
