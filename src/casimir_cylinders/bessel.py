@@ -27,9 +27,9 @@ Evaluation strategy:
   scale comes from the Wronskian I_0 K_1 + I_1 K_0 = 1/x (DLMF 10.28.2),
   log I_0 = x - log x - log(e^x K_1 + e^x K_0/rho_0), whose terms are
   all positive.
-* Below ``_SMALL_ARGUMENT`` both ladders use the exact small-argument
-  forms instead, where 2n/x would overflow the recurrences and
-  cosh(t) the quadrature.
+* Below ``_SMALL_ARGUMENT``, where 2n/x would overflow the recurrences
+  and cosh(t) the quadrature, every ladder (``log_diag_pair``'s too) runs
+  at x = 1 and overwrites those columns from the exact small-argument forms.
 
 Derivatives use I'_n = (I_{n-1} + I_{n+1})/2 and
 K'_n = -(K_{n-1} + K_{n+1})/2; only the (positive) magnitude of K' is
@@ -44,15 +44,14 @@ takes one ``log`` and one ``cumsum``, and the ratios themselves give
     I'_n/I_n = (rho_{n-1} + 1/rho_n)/2,   |K'_n|/K_n = (1/sigma_{n-1} + sigma_n)/2,
 
 (1/rho_0 and sigma_0 at n = 0), so TE adds one ``log`` of a quotient of
-positive sums to TM.  Below ``_SMALL_ARGUMENT`` the pass runs at x = 1
-instead, and each block's columns there are overwritten from the
-small-argument ladders, taken in log space.  The pass runs over
-blocks of orders (``log_diag_blocks``; ``order_blocks`` gives each block
-2^14 order-by-argument elements per polarization): only rho, which
-recurs downward from n_max, is held whole, while sigma recurs upward a
-block at a time, TE and TM are formed per block and the TM cumulative
-sum carries its last row into the next block.  Each value takes the same operations in the same
-order as in one whole-array pass, so the blocks change no bit.
+positive sums to TM.  The pass runs over blocks of orders
+(``log_diag_blocks``; ``order_blocks`` gives each block 2^14
+order-by-argument elements per polarization): only rho, which recurs
+downward from n_max, is held whole, while sigma recurs upward a block at
+a time, TE and TM are formed per block and the TM cumulative sum
+carries its last row into the next block.  Each value takes the same
+operations in the same order as in one whole-array pass, so the blocks
+change no bit.
 
 The module also provides the large-order uniform (Debye) expansion
 machinery: the phase function eta, the first correction polynomial u(t)
@@ -135,21 +134,6 @@ def _validate_argument(x, cap=LADDER_MAX_ARGUMENT):
     return x
 
 
-def _piecewise(x, edge, below, above, *args):
-    """``below(x, *args)`` where x < edge and ``above(x, *args)`` elsewhere, each an
-    array with x along its last axis, merged into one such array."""
-    low = x < edge
-    if not low.any():
-        return above(x, *args)
-    if low.all():
-        return below(x, *args)
-    part = below(x[low], *args)
-    out = np.empty(part.shape[:-1] + x.shape)
-    out[..., low] = part
-    out[..., ~low] = above(x[~low], *args)
-    return out
-
-
 def _checked(x, n_max, zero_ok=False):
     """x as a float array (0 only if ``zero_ok``) and n_max >= 0 as an int, both checked."""
     x = _validate_argument(x)
@@ -161,12 +145,28 @@ def _checked(x, n_max, zero_ok=False):
     return x, n_max
 
 
-def _ladder_entry(x, n_max, below, above, zero_ok=False):
-    """The I and K ladders' entry: ``_checked``, then ``_piecewise`` at
-    ``_SMALL_ARGUMENT`` on the flattened x, shaped like x."""
+def _ladder_entry(x, n_max, small, above, zero_ok=False):
+    """The blocks (a, b, block) of a ladder over the ``_checked``, flattened x, orders
+    a..b-1 on the block's axis -2: ``above(x, n_max)`` runs with every x below
+    ``_SMALL_ARGUMENT`` set to 1, and ``small(x, n_max)`` overwrites those columns.
+    If no x is at or above it (an empty x too), ``small`` alone gives one block."""
     x, n_max = _checked(x, n_max, zero_ok)
-    out = _piecewise(x.reshape(-1), _SMALL_ARGUMENT, below, above, n_max)
-    return out.reshape(out.shape[:-1] + x.shape)
+    x = x.reshape(-1)
+    low = x < _SMALL_ARGUMENT
+    if low.all():
+        yield 0, n_max + 1, small(x, n_max)
+        return
+    part = small(x[low], n_max) if low.any() else None
+    for a, b, block in above(x if part is None else np.where(low, 1.0, x), n_max):
+        if part is not None:
+            block[..., low] = part[..., a:b, :]
+        yield a, b, block
+
+
+def _whole(x, blocks):
+    """The one block of a ladder's ``_ladder_entry``, shaped (n_max+1,) + x.shape."""
+    ((_, _, out),) = blocks
+    return out.reshape(out.shape[:-1] + np.shape(x))
 
 
 def _log_factorial(n):
@@ -188,12 +188,13 @@ def log_i_ladder(x, n_max):
     """log I_n(x) for n = 0..n_max, shape (n_max+1,) + x.shape.
 
     Downward ratio recurrence started above the top order (see
-    ``_i_ratios``); x may be an array.  Below ``_SMALL_ARGUMENT`` the exact
-    small-argument form n log(x/2) - log n! + log(1 + x^2/(4(n+1))) is
-    used instead, whose neglected terms are O(x^4).  x == 0 entries yield
-    the exact limits log I_0(0) = 0 and log I_n(0) = -inf for n > 0.
+    ``_i_ratios``); x may be an array.  Columns below ``_SMALL_ARGUMENT``
+    are overwritten from the exact small-argument form
+    n log(x/2) - log n! + log(1 + x^2/(4(n+1))), whose neglected terms are
+    O(x^4) (``_ladder_entry``).  x == 0 entries yield the exact limits
+    log I_0(0) = 0 and log I_n(0) = -inf for n > 0.
     """
-    return _ladder_entry(x, n_max, _i_small, _i_ladder_above, zero_ok=True)
+    return _whole(x, _ladder_entry(x, n_max, _i_small, _i_ladder_above, zero_ok=True))
 
 
 def _k_small(x, n_max):
@@ -222,8 +223,16 @@ def _k01_s(x):
 
 def _k01_scaled(x):
     """(e^x K_0(x), e^x K_1(x)), shape (2, x.size), for x >= ``_SMALL_ARGUMENT``, by the
-    trapezoidal rules described in the module docstring."""
-    return _piecewise(x, 1.0, _k01_t, _k01_s)
+    trapezoidal rules described in the module docstring: in t below x = 1, in s above."""
+    low = x < 1.0
+    if not low.any():
+        return _k01_s(x)
+    if low.all():
+        return _k01_t(x)
+    k = np.empty((2, x.size))
+    k[:, low] = _k01_t(x[low])
+    k[:, ~low] = _k01_s(x[~low])
+    return k
 
 
 def _extension_rows(x, n):
@@ -257,15 +266,13 @@ def _i_ratios(x, n, spare=0):
     return work
 
 
-def _k_ratios(x, k0, k1, n):
-    """sigma_k = K_{k+1}/K_k for k = 0..n-1, shape (n, x.size), n >= 1: sigma_0 = K_1/K_0
-    from the seed, and sigma_k = 2k/x + 1/sigma_{k-1} runs upward."""
-    sigma = np.multiply.outer(np.arange(float(n)), 2.0 / x)
-    sigma[0] = k1 / k0
-    inverse = np.empty(x.size)
+def _k_ratios(sigma, first, two_over_x, inverse):
+    """Fills rows 1.. of ``sigma`` with sigma_k = K_{k+1}/K_k, k = first, first + 1, ..., by
+    sigma_k = 2k/x + 1/sigma_{k-1} upward from the sigma_{first-1} in row 0; ``inverse``
+    is one scratch row."""
+    np.multiply.outer(np.arange(first, first + len(sigma) - 1, dtype=float), two_over_x, out=sigma[1:])
     for row, below in zip(sigma[1:], sigma):
         row += np.reciprocal(below, out=inverse)
-    return sigma
 
 
 def _log_i0(x, k0, k1, rho0):
@@ -286,25 +293,28 @@ def _i_ladder_above(x, n_max):
     rho = _i_ratios(x, max(n_max, 1))
     out = np.empty((n_max + 1, x.size))
     out[0] = _log_i0(x, k0, k1, rho[0])
-    return _cumulate(out, rho[:n_max], np.subtract)
+    yield 0, n_max + 1, _cumulate(out, rho[:n_max], np.subtract)
 
 
 def _k_ladder_above(x, n_max):
     k0, k1 = _k01_scaled(x)
     out = np.empty((n_max + 1, x.size))
     out[0] = np.log(k0) - x
-    return _cumulate(out, _k_ratios(x, k0, k1, max(n_max, 1))[:n_max], np.add)
+    sigma = np.empty((max(n_max, 1), x.size))
+    sigma[0] = k1 / k0
+    _k_ratios(sigma, 1, 2.0 / x, np.empty(x.size))
+    yield 0, n_max + 1, _cumulate(out, sigma[:n_max], np.add)
 
 
 def log_k_ladder(x, n_max):
     """log K_n(x) for n = 0..n_max, shape (n_max+1,) + x.shape.
 
     Upward ratio recurrence from K_0, K_1; stable because K grows with
-    order.  Below ``_SMALL_ARGUMENT`` the small-argument form
-    log K_n = log((n-1)!/2) + n log(2/x) (n >= 1) is used instead, exact
-    to double precision there.  Requires x > 0.
+    order.  Columns below ``_SMALL_ARGUMENT`` are overwritten from the
+    small-argument form log K_n = log((n-1)!/2) + n log(2/x) (n >= 1), exact
+    to double precision there (``_ladder_entry``).  Requires x > 0.
     """
-    return _ladder_entry(x, n_max, _k_small, _k_ladder_above)
+    return _whole(x, _ladder_entry(x, n_max, _k_small, _k_ladder_above))
 
 
 def _log_derivative(ladder, n_max):
@@ -365,10 +375,7 @@ def _diag_above(x, n_max):
         s = sigma[: m + 1]
         if a:
             s[0] = sigma[rows]
-        # sigma_k = 2k/x + 1/sigma_{k-1}, upward
-        np.multiply.outer(np.arange(a + lo, b, dtype=float), two_over_x, out=s[1 + lo :])
-        for row, below in zip(s[1 + lo :], s[lo:]):
-            row += np.reciprocal(below, out=inverse)
+        _k_ratios(s[lo:], a + lo, two_over_x, inverse)
         # TE over TM: (rho_{n-1} + 1/rho_n) / (1/sigma_{n-1} + sigma_n), 1/(rho_0 sigma_0) at
         # n = 0; the TM rows hold the denominator until they are written
         np.divide(1.0, rho[a:b], out=te)
@@ -398,19 +405,11 @@ def log_diag_blocks(x, n_max):
     """``log_diag_pair(x, n_max)`` over the flattened x, one order block at a time.
 
     Yields (a, b, block), block of shape (2, b - a, x.size) holding orders a..b-1,
-    in increasing order, from ``_diag_above``; x and n_max are checked at the first
-    block.  Columns below ``_SMALL_ARGUMENT`` run at x = 1 and are overwritten in
-    each block from ``_diag_small``.  A block is overwritten by the next, so read
-    each before advancing.
+    in increasing order, from ``_diag_above`` and ``_diag_small`` by the rule of
+    ``_ladder_entry``, which checks x and n_max at the first block.  A block is
+    overwritten by the next, so read each before advancing.
     """
-    x, n_max = _checked(x, n_max)
-    x = x.reshape(-1)
-    low = x < _SMALL_ARGUMENT
-    small = _diag_small(x[low], n_max) if low.any() else None
-    for a, b, block in _diag_above(np.where(low, 1.0, x), n_max):
-        if small is not None:
-            block[..., low] = small[:, a:b]
-        yield a, b, block
+    return _ladder_entry(x, n_max, _diag_small, _diag_above)
 
 
 def log_diag_pair(x, n_max):
@@ -420,9 +419,8 @@ def log_diag_pair(x, n_max):
     argument: one K_0/K_1 seed, the I and K ratio ladders, then
     log d_n = log(I_0/K_0) - sum_{k<n} log(rho_k sigma_k) and
     log d_n^TE = log d_n + log[(I'_n/I_n) / (|K'_n|/K_n)], every term of
-    the ratio positive, filled in from ``log_diag_blocks``.  Below
-    ``_SMALL_ARGUMENT`` the small-argument ladders serve instead.
-    Requires x > 0.
+    the ratio positive, filled in from ``log_diag_blocks``.  Columns below
+    ``_SMALL_ARGUMENT`` come from the small-argument ladders.  Requires x > 0.
     """
     x, n_max = _checked(x, n_max)
     out = np.empty((2, n_max + 1, x.size))

@@ -258,9 +258,34 @@ def test_log_diag_pair_of_far_separation_batches(x):
             ref = np.array(oracles.log_diag_factors(n, x[column]))
             tol = 1e-14 * np.maximum(1.0, np.abs(ref))
             assert np.all(np.abs(got[:, n, column] - ref) <= tol), (x[column], n, got[:, n, column] - ref)
-    # a tiny column reads the same in any batch
+    # a tiny column reads the same in any batch, in every ladder
     tiny = np.flatnonzero(x < bessel._SMALL_ARGUMENT)
     assert np.array_equal(got[:, :, tiny], bessel.log_diag_pair(x[tiny], n_max))
+    for ladder in (bessel.log_i_ladder, bessel.log_k_ladder):
+        assert np.array_equal(ladder(x, n_max)[:, tiny], ladder(x[tiny], n_max)), ladder.__name__
+
+
+@pytest.mark.parametrize("n, top", [(0, 1), (24, 36), (54, 512), (150, 225), (406, 512)])
+def test_ladders_do_not_depend_on_their_top_order(n, top):
+    # the first rung and the eccentric ladder retakes cost work, not bytes:
+    # orders 0..n read the same, bit for bit, from a ladder to any higher top
+    rng = np.random.default_rng(n)
+    x = np.concatenate([np.exp(rng.uniform(math.log(1e-6), math.log(2000.0), 300)), [1e-300, 1e-12, 9e-9]])
+    pairs = [(bessel.log_diag_pair(x, n), bessel.log_diag_pair(x, top)[:, : n + 1])]
+    pairs += [(ladder(x, n), ladder(x, top)[: n + 1]) for ladder in (bessel.log_i_ladder, bessel.log_k_ladder)]
+    for alone, inside in pairs:
+        assert np.array_equal(alone.view(np.uint64), inside.view(np.uint64))
+
+
+@pytest.mark.parametrize("n_max", [0, 5])
+@pytest.mark.parametrize("shape", [(0,), (3, 0)])
+def test_empty_batches_give_empty_ladders(shape, n_max):
+    x = np.empty(shape)
+    assert bessel.log_i_ladder(x, n_max).shape == (n_max + 1,) + shape
+    assert bessel.log_k_ladder(x, n_max).shape == (n_max + 1,) + shape
+    assert bessel.log_diag_pair(x, n_max).shape == (2, n_max + 1) + shape
+    blocks = [(a, b, block.shape) for a, b, block in bessel.log_diag_blocks(x, n_max)]
+    assert blocks == [(0, n_max + 1, (2, n_max + 1, 0))]
 
 
 SEED_ROW_POINTS = (1e-7, 1.0, 40.0, 700.0, 2000.0)

@@ -371,10 +371,25 @@ def test_concentric_fold_matches_cumulative_sums(accelerated, nb, block_elements
     for _ in range(4):
         picked = rng.choice(top, size=rng.integers(0, 12), replace=False).tolist()
         picked += rng.choice(edges, size=min(3, len(edges)), replace=False).tolist()
-        orders = sorted(set(picked) | {top})  # the ladder depends on its top order
+        orders = sorted(set(picked) | {top})  # the reference cumulates up to top
         sums, m_used = evaluate(betas, orders)
         assert sums.shape == (nb, 2, len(orders)) and m_used == 0
         assert np.array_equal(_bits(sums), _bits(reference[:, :, orders]))
+
+
+@pytest.mark.parametrize("accelerated", [False, True])
+@pytest.mark.parametrize("alpha", [1.01, 1.05, 1.3])
+def test_concentric_sums_do_not_depend_on_the_top_order(accelerated, alpha):
+    # the first rung and the ladder retakes cost work, not bytes: the sum to
+    # order n reads the same from an evaluation to any higher top
+    rng = np.random.default_rng(7)
+    beta_max = min(40.0 / (alpha - 1.0), bessel.LADDER_MAX_ARGUMENT / alpha)
+    betas = np.sort(np.exp(rng.uniform(math.log(1e-4), math.log(beta_max), 116)))
+    evaluate = _concentric_integrand(Concentric(alpha), accelerated)
+    for n, top in ((24, 36), (54, 512), (150, 225), (406, 512)):
+        alone, _ = evaluate(betas, [n])
+        inside, _ = evaluate(betas, [16, n, top])
+        assert np.array_equal(_bits(alone[:, :, 0]), _bits(inside[:, :, 1])), (n, top)
 
 
 def _log1mexp_branches(a):
@@ -485,6 +500,24 @@ def test_energy_difference_sign_and_monotonicity():
     d_large = energy_difference(Eccentric(1.6, 0.4), Concentric(1.6), t, q)
     assert d_small < 0.0 and d_large < 0.0  # displacement lowers the energy
     assert abs(d_large) > abs(d_small)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0])
+def test_quasi_concentric_energies_follow_the_delta_squared_oracle(alpha):
+    # the independent delta^2 coefficient of each polarization's energy
+    # (oracles.py): (e_pol(delta) - e_pol(0)) / delta^2 tends to it with an
+    # O(delta^2) deviation, 1.9-7.6e-4 at delta = 0.01
+    t = TruncationSpec(rel_tol=1e-8)
+    concentric = energy_exact(Concentric(alpha), t)
+    oracle = np.array([oracles.eccentric_energy_x2(alpha, pol) for pol in ("TM", "TE")])
+    deviation = {}
+    for delta in (0.01, 0.02):
+        eccentric = energy_exact(Eccentric(alpha, delta), t)
+        shift = np.array([eccentric.e_tm - concentric.e_tm, eccentric.e_te - concentric.e_te])
+        deviation[delta] = np.abs(shift / delta ** 2 / oracle - 1.0)
+    assert np.all(deviation[0.01] < 2e-3), deviation[0.01]
+    growth = deviation[0.02] / deviation[0.01]
+    assert np.all((3.5 < growth) & (growth < 4.5)), growth
 
 
 def test_energy_difference_input_checks():
