@@ -30,6 +30,7 @@ Evaluation strategy:
 * Below ``_SMALL_ARGUMENT``, where 2n/x would overflow the recurrences
   and cosh(t) the quadrature, every ladder (``log_diag_pair``'s too) runs
   at x = 1 and overwrites those columns from the exact small-argument forms.
+  Each ladder checks its batch once, from its least and greatest argument.
 
 Derivatives use I'_n = (I_{n-1} + I_{n+1})/2 and
 K'_n = -(K_{n-1} + K_{n+1})/2; only the (positive) magnitude of K' is
@@ -123,44 +124,39 @@ _S_WEIGHTS = _STEP * np.exp(-_S_SQUARES) * np.array([np.ones_like(_S_SQUARES), _
 _S_WEIGHTS[:, 0] *= 0.5
 
 
-def _validate_argument(x, cap=LADDER_MAX_ARGUMENT):
-    x = np.asarray(x, dtype=float)
-    if np.any(np.isnan(x)):
+def _ladder_entry(x, n_max, small, above, zero_ok=False):
+    """The blocks (a, b, block) of a ladder over the flattened x, orders a..b-1 on the
+    block's axis -2, checked and dispatched by x's least and greatest value (a NaN is
+    both; an empty x counts as (inf, -inf)): NaN, negative, above ``LADDER_MAX_ARGUMENT``
+    and zero (unless ``zero_ok``) fail in turn, then an n_max that is not a whole
+    number >= 0.  ``small(x, n_max)`` alone gives one block if no x is at or above
+    ``_SMALL_ARGUMENT``, ``above(x, n_max)`` the blocks if all are; otherwise ``above``
+    runs with those x set to 1 and ``small`` overwrites their columns."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    lo, hi = (x.min(), x.max()) if x.size else (math.inf, -math.inf)
+    if math.isnan(lo):
         raise ValueError("argument must not be NaN")
-    if np.any(x < 0.0):
+    if lo < 0.0:
         raise ValueError("argument must be nonnegative")
-    if np.any(x > cap):
-        raise ValueError(f"argument exceeds supported range x <= {cap}")
-    return x
-
-
-def _checked(x, n_max, zero_ok=False):
-    """x as a float array (0 only if ``zero_ok``) and n_max >= 0 as an int, both checked."""
-    x = _validate_argument(x)
-    if not zero_ok and np.any(x == 0.0):
+    if hi > LADDER_MAX_ARGUMENT:
+        raise ValueError(f"argument exceeds supported range x <= {LADDER_MAX_ARGUMENT}")
+    if not zero_ok and lo == 0.0:
         raise ValueError("K_n diverges at x = 0")
+    if not float(n_max).is_integer():
+        raise ValueError(f"order n_max = {n_max} must be a whole number")
     n_max = int(n_max)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    return x, n_max
-
-
-def _ladder_entry(x, n_max, small, above, zero_ok=False):
-    """The blocks (a, b, block) of a ladder over the ``_checked``, flattened x, orders
-    a..b-1 on the block's axis -2: ``above(x, n_max)`` runs with every x below
-    ``_SMALL_ARGUMENT`` set to 1, and ``small(x, n_max)`` overwrites those columns.
-    If no x is at or above it (an empty x too), ``small`` alone gives one block."""
-    x, n_max = _checked(x, n_max, zero_ok)
-    x = x.reshape(-1)
-    low = x < _SMALL_ARGUMENT
-    if low.all():
+    if hi < _SMALL_ARGUMENT:
         yield 0, n_max + 1, small(x, n_max)
-        return
-    part = small(x[low], n_max) if low.any() else None
-    for a, b, block in above(x if part is None else np.where(low, 1.0, x), n_max):
-        if part is not None:
+    elif lo >= _SMALL_ARGUMENT:
+        yield from above(x, n_max)
+    else:
+        low = x < _SMALL_ARGUMENT
+        part = small(x[low], n_max)
+        for a, b, block in above(np.where(low, 1.0, x), n_max):
             block[..., low] = part[..., a:b, :]
-        yield a, b, block
+            yield a, b, block
 
 
 def _whole(x, blocks):
@@ -223,15 +219,12 @@ def _k01_s(x):
 
 def _k01_scaled(x):
     """(e^x K_0(x), e^x K_1(x)), shape (2, x.size), for x >= ``_SMALL_ARGUMENT``, by the
-    trapezoidal rules described in the module docstring: in t below x = 1, in s above."""
+    trapezoidal rules described in the module docstring, each on its side of x = 1."""
     low = x < 1.0
-    if not low.any():
-        return _k01_s(x)
-    if low.all():
-        return _k01_t(x)
     k = np.empty((2, x.size))
-    k[:, low] = _k01_t(x[low])
-    k[:, ~low] = _k01_s(x[~low])
+    for part, rule in ((low, _k01_t), (~low, _k01_s)):
+        if part.any():
+            k[:, part] = rule(x[part])
     return k
 
 
@@ -420,13 +413,14 @@ def log_diag_pair(x, n_max):
     log d_n = log(I_0/K_0) - sum_{k<n} log(rho_k sigma_k) and
     log d_n^TE = log d_n + log[(I'_n/I_n) / (|K'_n|/K_n)], every term of
     the ratio positive, filled in from ``log_diag_blocks``.  Columns below
-    ``_SMALL_ARGUMENT`` come from the small-argument ladders.  Requires x > 0.
+    ``_SMALL_ARGUMENT`` come from the small-argument ladders.  Requires x > 0;
+    the blocks check x and n_max, and the output is allocated at the first.
     """
-    x, n_max = _checked(x, n_max)
-    out = np.empty((2, n_max + 1, x.size))
     for a, b, block in log_diag_blocks(x, n_max):
+        if not a:
+            out = np.empty((2, int(n_max) + 1, block.shape[-1]))
         out[:, a:b] = block
-    return out.reshape(out.shape[:2] + x.shape)
+    return out.reshape(out.shape[:2] + np.shape(x))
 
 
 def log_di_ladder(x, n_max):
@@ -448,12 +442,14 @@ class ScaledBesselPair:
 
 
 def _scalar(ladder, n, x):
-    """``ladder(x, |n|)[|n|]`` as a float, for |n| <= MAX_ORDER and 0 <= x <= MAX_ARGUMENT
-    (I_{-n} = I_n, K_{-n} = K_n for integer order; the K ladders reject x = 0)."""
-    n = abs(int(n))
+    """The last row of ``ladder(x, |n|)`` as a float (I_{-n} = I_n, K_{-n} = K_n); checks
+    |n| <= MAX_ORDER and x <= MAX_ARGUMENT, the ladder all else (a whole n, x >= 0)."""
+    n, x = abs(n), float(x)
     if n > MAX_ORDER:
         raise ValueError(f"order |n| <= {MAX_ORDER} supported")
-    return float(ladder(_validate_argument(float(x), cap=MAX_ARGUMENT), n)[n])
+    if x > MAX_ARGUMENT:
+        raise ValueError(f"argument exceeds supported range x <= {MAX_ARGUMENT}")
+    return float(ladder(x, n)[-1])
 
 
 def log_bessel_i(n, x):

@@ -16,6 +16,7 @@ Shape parameters:
 """
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 
@@ -166,7 +167,8 @@ class TruncationSpec:
     ``n_max`` bounds the spectral-matrix indices n, p in [-n_max, n_max];
     ``m_max`` caps the inner sum |m| <= m_max.  With ``adapt`` set the
     evaluators grow both from small values until the result is stable to
-    ``rel_tol``; the listed values then act as hard caps.
+    ``rel_tol``; the listed values then act as hard caps.  Both counts are
+    integers (``numbers.Integral``, numpy's included).
     """
 
     n_max: int = N_MAX_CAP
@@ -175,6 +177,9 @@ class TruncationSpec:
     rel_tol: float = 1e-4
 
     def __post_init__(self):
+        for name in ("n_max", "m_max"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} = {getattr(self, name)!r} must be an integer")
         if self.n_max < 1 or self.m_max < self.n_max:
             raise ValueError("need m_max >= n_max >= 1")
         if not self.rel_tol > 0.0:
@@ -193,7 +198,8 @@ class QuadratureSpec:
     """Semi-infinite frequency quadrature: node count and decay mapping.
 
     ``scale`` multiplies the geometric decay length 1/(2*gap) used to map
-    Gauss nodes onto the beta axis.
+    Gauss nodes onto the beta axis.  ``node_count`` is an integer
+    (``numbers.Integral``, numpy's included).
     """
 
     node_count: int = 128
@@ -201,6 +207,8 @@ class QuadratureSpec:
     rule: QuadratureRule = QuadratureRule.TRANSFORMED_GAUSS
 
     def __post_init__(self):
+        if not isinstance(self.node_count, numbers.Integral):
+            raise ValueError(f"node_count = {self.node_count!r} must be an integer")
         if self.node_count < 8:
             raise ValueError("node_count must be at least 8")
         if not self.scale > 0.0:

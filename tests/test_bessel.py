@@ -59,6 +59,20 @@ def test_bessel_k_domain_error():
     (bessel.log_diag_pair, ([math.nan], 3), "argument must not be NaN"),
     (bessel.log_i_ladder, ([1.0, math.nan], 3), "argument must not be NaN"),
     (bessel.log_k_ladder, ([math.nan, 1.0], 3), "argument must not be NaN"),
+    # a mixed batch fails by the first rule it breaks, in the order above
+    (bessel.log_k_ladder, ([math.nan, -1.0, 3000.0, 0.0], 2), "argument must not be NaN"),
+    (bessel.log_k_ladder, ([-1.0, 3000.0, 0.0], 2), "argument must be nonnegative"),
+    (bessel.log_k_ladder, ([3000.0, 0.0], 2), "x <= 2000"),
+    (bessel.log_diag_pair, ([0.0, 1.0], 2), "K_n diverges at x = 0"),
+    (bessel.log_k_ladder, (-0.0, 2), "K_n diverges at x = 0"),
+    (bessel.bessel_i, (0, math.inf), "x <= 700"),
+    (bessel.bessel_k, (0, -1.0), "argument must be nonnegative"),
+    # orders that are not whole numbers are named, not truncated
+    (bessel.bessel_i, (2.5, 1.0), "n_max = 2.5 must be a whole number"),
+    (bessel.log_i_ladder, (1.0, 2.9), "n_max = 2.9 must be a whole number"),
+    (bessel.log_diag_pair, ([1.0], 3.5), "n_max = 3.5 must be a whole number"),
+    (bessel.bessel_i, (math.nan, 1.0), "n_max = nan must be a whole number"),
+    (bessel.bessel_i, (math.inf, 1.0), r"order \|n\| <= 512 supported"),
 ])
 def test_arguments_outside_the_domain_are_named(fn, args, message):
     with pytest.raises(ValueError, match=message):
@@ -155,6 +169,7 @@ def test_log_i_ladder_tiny_argument_closed_form():
     expected = n * math.log(x / 2.0) - np.array([math.lgamma(k + 1.0) for k in n])
     assert np.allclose(ladder[:, 0], expected, rtol=1e-14, atol=0.0)
     assert ladder[0, 2] == 0.0 and np.all(ladder[1:, 2] == -np.inf)
+    assert list(bessel.log_i_ladder(-0.0, 2)) == [0.0, -np.inf, -np.inf]
     # the series branch joins the recurrence smoothly
     recurrence = float(bessel.log_i_ladder(2e-8, 5)[5])
     assert ladder[5, 1] == pytest.approx(recurrence - 5.0 * math.log(20.0), abs=1e-12)

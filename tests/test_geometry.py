@@ -150,6 +150,11 @@ def test_truncation_spec_invariants():
             TruncationSpec(rel_tol=value)
     spec = TruncationSpec(n_max=8, m_max=8)
     assert spec.m_max >= spec.n_max
+    with pytest.raises(ValueError, match="n_max = 40.5 must be an integer"):
+        TruncationSpec(n_max=40.5)
+    with pytest.raises(ValueError, match="m_max = 100.5 must be an integer"):
+        TruncationSpec(n_max=40, m_max=100.5)
+    assert TruncationSpec(n_max=np.int64(40), m_max=np.int64(100)).n_max == 40
 
 
 def test_quadrature_spec_invariants():
@@ -163,3 +168,6 @@ def test_quadrature_spec_invariants():
     for value in ("adaptive-panel", 5):  # the enum's value is not the enum
         with pytest.raises(ValueError, match="rule"):
             QuadratureSpec(rule=value)
+    with pytest.raises(ValueError, match="node_count = 64.5 must be an integer"):
+        QuadratureSpec(node_count=64.5)
+    assert QuadratureSpec(node_count=np.int64(64)).node_count == 64
