@@ -124,12 +124,21 @@ _S_WEIGHTS = _STEP * np.exp(-_S_SQUARES) * np.array([np.ones_like(_S_SQUARES), _
 _S_WEIGHTS[:, 0] *= 0.5
 
 
+def _order(n_max):
+    """n_max as an int, named if it is not a whole number >= 0."""
+    if not float(n_max).is_integer():
+        raise ValueError(f"order n_max = {n_max} must be a whole number")
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    return int(n_max)
+
+
 def _ladder_entry(x, n_max, small, above, zero_ok=False):
     """The blocks (a, b, block) of a ladder over the flattened x, orders a..b-1 on the
     block's axis -2, checked and dispatched by x's least and greatest value (a NaN is
     both; an empty x counts as (inf, -inf)): NaN, negative, above ``LADDER_MAX_ARGUMENT``
-    and zero (unless ``zero_ok``) fail in turn, then an n_max that is not a whole
-    number >= 0.  ``small(x, n_max)`` alone gives one block if no x is at or above
+    and zero (unless ``zero_ok``) fail in turn, then the ``_order`` of n_max.
+    ``small(x, n_max)`` alone gives one block if no x is at or above
     ``_SMALL_ARGUMENT``, ``above(x, n_max)`` the blocks if all are; otherwise ``above``
     runs with those x set to 1 and ``small`` overwrites their columns."""
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -142,11 +151,7 @@ def _ladder_entry(x, n_max, small, above, zero_ok=False):
         raise ValueError(f"argument exceeds supported range x <= {LADDER_MAX_ARGUMENT}")
     if not zero_ok and lo == 0.0:
         raise ValueError("K_n diverges at x = 0")
-    if not float(n_max).is_integer():
-        raise ValueError(f"order n_max = {n_max} must be a whole number")
-    n_max = int(n_max)
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    n_max = _order(n_max)
     if hi < _SMALL_ARGUMENT:
         yield 0, n_max + 1, small(x, n_max)
     elif lo >= _SMALL_ARGUMENT:
@@ -310,15 +315,15 @@ def log_k_ladder(x, n_max):
     return _whole(x, _ladder_entry(x, n_max, _k_small, _k_ladder_above))
 
 
-def _log_derivative(ladder, n_max):
-    """log (F_{n-1} + F_{n+1})/2 for n = 0..n_max from a log ladder of F_0..F_{n_max+1}.
+def _log_derivative(ladder):
+    """log (F_{n-1} + F_{n+1})/2 for n = 0..N from a log ladder of F_0..F_{N+1}.
 
     F_{-1} = F_1 for integer order, so this is log I'_n from the I ladder
     and log |K'_n| from the K ladder.
     """
-    out = np.empty((n_max + 1,) + ladder.shape[1:])
+    out = np.empty((len(ladder) - 1,) + ladder.shape[1:])
     out[0] = ladder[1]
-    np.logaddexp(ladder[: n_max], ladder[2 : n_max + 2], out=out[1:])
+    np.logaddexp(ladder[:-2], ladder[2:], out=out[1:])
     out[1:] -= math.log(2.0)
     return out
 
@@ -327,7 +332,7 @@ def _diag_small(x, n_max):
     """``log_diag_pair`` below ``_SMALL_ARGUMENT``, from the small-argument ladders."""
     log_i, log_k = _i_small(x, n_max + 1), _k_small(x, n_max + 1)
     tm = log_i[: n_max + 1] - log_k[: n_max + 1]
-    return np.array([tm, _log_derivative(log_i, n_max) - _log_derivative(log_k, n_max)])
+    return np.array([tm, _log_derivative(log_i) - _log_derivative(log_k)])
 
 
 def order_blocks(rows, width):
@@ -424,13 +429,13 @@ def log_diag_pair(x, n_max):
 
 
 def log_di_ladder(x, n_max):
-    """log I'_n(x) for n = 0..n_max (I' > 0 for x > 0)."""
-    return _log_derivative(log_i_ladder(x, n_max + 1), n_max)
+    """log I'_n(x) for n = 0..n_max (I' > 0 for x > 0).  n_max is checked before x."""
+    return _log_derivative(log_i_ladder(x, _order(n_max) + 1))
 
 
 def log_dk_ladder(x, n_max):
-    """log |K'_n(x)| for n = 0..n_max; the sign of K'_n is always -1."""
-    return _log_derivative(log_k_ladder(x, n_max + 1), n_max)
+    """log |K'_n(x)| for n = 0..n_max; the sign of K'_n is always -1.  n_max is checked before x."""
+    return _log_derivative(log_k_ladder(x, _order(n_max) + 1))
 
 
 @dataclass(frozen=True)

@@ -6,18 +6,17 @@ Every evaluator computes the dimensionless energy
 
 through one path for all geometries.  Each geometry family supplies
 only ``evaluate(betas, orders)``: the TM and TE log-determinant sums at
-a batch of frequencies, truncated at each of the requested orders.  One
-quadrature step (``_eval_factory``) keeps the last evaluation to answer
-the later orders ``_refine`` asks for on the same frequencies, picks
-the orders evaluated by one policy for every family (first the rungs of
-the truncation ladder up to the one nearest the predicted order, then
-exactly the order asked for), clips the frequencies at ``_beta_limit``
-and chooses the quadrature rule (transformed Gauss or adaptive panels);
-``_refine`` climbs that one ladder (``_ladder``; fixed truncation is
-n_max // 2, n_max, order 0 allowed), then grows the node count until the
-result is stable to the requested tolerance.  Resource caps turn a
-runaway refinement into NoConvergenceError instead of a silent bad
-number.
+a batch of frequencies, truncated at each of the requested orders.
+``_refine`` owns the one truncation policy of every family: it climbs
+the ladder (``_ladder``; fixed truncation is n_max // 2, n_max, order 0
+allowed), asking one evaluation for every rung up to the one nearest the
+predicted order and one for each later rung, then grows the node count
+until the result is stable to the requested tolerance.  The quadrature
+step (``_eval_factory``) keeps nothing between calls: it clips the
+frequencies at ``_beta_limit``, chooses the quadrature rule (transformed
+Gauss or adaptive panels) and integrates each requested order.  Resource
+caps turn a runaway refinement into NoConvergenceError instead of a
+silent bad number.
 
 For the dense eccentric and cylinder-plane matrices
 ``kernel.matrix_log_dets`` assembles and factors the whole batch once
@@ -124,68 +123,48 @@ def _predicted_order(g, t):
 
 
 def _first_rung(predicted, rungs):
-    """The order of ``rungs[1:]`` nearest ``predicted`` in log; the cap (the last rung)
-    counts only when the prediction reaches it or when it is the only candidate."""
+    """The order of ``rungs[1:]`` (two rungs or more) nearest ``predicted`` in log; the cap
+    (the last rung) counts only when the prediction reaches it or is the only candidate."""
     candidates = rungs[1:]
     if predicted < rungs[-1] and len(candidates) > 1:
         candidates = candidates[:-1]
-    return min(candidates or rungs, key=lambda n: abs(math.log(n / predicted)))
+    return min(candidates, key=lambda n: abs(math.log(n / predicted)))
 
 
-def _eval_factory(g, t, q, evaluate, n_start=_N_START, offset=0.0):
-    """The ``eval_at(n_top, node_count) -> (e_tm, e_te, m_used)`` of ``_refine``.
+def _eval_factory(g, q, evaluate, offset=0.0):
+    """The ``eval_at(orders, node_count) -> ([(e_tm, e_te) per order], m_used)`` of ``_refine``.
 
     ``evaluate(betas, orders)`` returns the TM and TE log-determinant
     sums truncated at each of the increasing ``orders``, shape
     (len(betas), 2, len(orders)), and the largest inner-sum cutoff it
-    used.  One cache keeps the last evaluation, so a request at one of its
-    orders on the same frequencies reads that column; it lets go of the
-    last before the next is formed.  The first evaluation asks for the
-    rungs of ``_ladder`` from ``n_start`` up to the rung nearest the
-    predicted order (n_max without adapt); a miss and new frequencies (the
-    node doubling at the final order) ask for exactly n_top.  Only
-    0 < beta <= ``_beta_limit`` is evaluated; the rest contributes zero (a
-    huge shape's nodes underflow to beta = 0).  ``offset`` is added to the
-    energy of each polarization.
+    used.  Nothing is kept between calls: the Gauss rule integrates every
+    order from one evaluation, the adaptive rule each order on its own
+    panels.  Only 0 < beta <= ``_beta_limit`` is evaluated; the rest
+    contributes zero (a huge shape's nodes underflow to beta = 0).
+    ``offset`` is added to the energy of each polarization.
     """
-    decay = 1.0 / (2.0 * gap(g))
+    scale = q.scale * (1.0 / (2.0 * gap(g)))
     limit = _beta_limit(g)
-    rungs = _ladder(t, n_start)
-    first = _first_rung(_predicted_order(g, t), rungs)
-    seen, orders, sums, m_used = None, [], None, 0
 
-    def sums_at(betas, n_top):
-        nonlocal seen, orders, sums, m_used
-        if seen is None or n_top not in orders or not np.array_equal(betas, seen):
-            if seen is None:
-                top = max(n_top, first)
-                wanted = sorted({n for n in rungs if n <= top} | {n_top})
-            else:
-                wanted = [n_top]
-            seen = sums = None  # so that two evaluations are never held at once
-            sums, m_used = evaluate(betas, wanted)
-            seen, orders = betas, wanted
-        return sums[:, :, orders.index(n_top)], m_used
-
-    def eval_at(n_top, node_count):
+    def eval_at(orders, node_count):
         m_seen = 0
 
-        def weighted(betas):
+        def weighted(betas, orders):  # one C-contiguous (len(betas), 2) column per order
             nonlocal m_seen
-            out = np.zeros((betas.size, 2))
+            out = np.zeros((len(orders), betas.size, 2))
             keep = (betas > 0.0) & (betas <= limit)
             if keep.any():
-                s, m = sums_at(betas[keep], n_top)
-                out[keep] = betas[keep, None] * s
+                sums, m = evaluate(betas[keep], orders)
+                out[:, keep] = (betas[keep, None, None] * sums).transpose(2, 0, 1)
                 m_seen = max(m_seen, m)
             return out
 
         if q.rule is QuadratureRule.ADAPTIVE_PANEL:
-            e_tm, e_te = adaptive_panels(weighted, q.scale * decay, node_count)
+            energies = [adaptive_panels(lambda b: weighted(b, [n])[0], scale, node_count) for n in orders]
         else:
-            betas, w = semi_infinite_nodes(q.scale * decay, node_count)
-            e_tm, e_te = np.dot(w, weighted(betas))
-        return float(e_tm) + offset, float(e_te) + offset, m_seen
+            betas, w = semi_infinite_nodes(scale, node_count)
+            energies = [np.dot(w, column) for column in weighted(betas, orders)]
+        return [(float(e_tm) + offset, float(e_te) + offset) for e_tm, e_te in energies], m_seen
 
     return eval_at
 
@@ -274,15 +253,14 @@ def tilde_energy(alpha):
 # ---------------------------------------------------------------------------
 # Matrix geometries: eccentric shells and cylinder-plane.
 
-def _matrix_integrand(g, t):
+def _matrix_integrand(g, t, predicted):
     """``evaluate`` of ln det(1 - A) per polarization at every order up to top.
 
     One ``kernel.matrix_log_dets`` call gives the whole truncation ladder
     up to its order from the leading minors.  With adapt a shape whose
-    predicted order exceeds twice n_max fails before any assembly
+    ``predicted`` order exceeds twice n_max fails before any assembly
     (converging shapes end at 0.87-1.26 times their prediction).
     """
-    predicted = _predicted_order(g, t)
     if t.adapt and predicted > 2 * t.n_max:
         raise NoConvergenceError(
             f"predicted truncation order {predicted} exceeds twice the cap n_max = {t.n_max}"
@@ -320,10 +298,12 @@ def _check_node_cap(nodes):
         raise NoConvergenceError(f"node cap {NODE_CAP} reached without quadrature convergence")
 
 
-def _refine(eval_at, t, q, n_start=_N_START, accelerated=False):
+def _refine(eval_at, t, q, predicted, n_start=_N_START, accelerated=False):
     """Grow the truncation order, then the node count; return the EnergyResult.
 
-    ``accelerated`` is copied to its ConvergenceReport.
+    One evaluation answers every rung of ``_ladder(t, n_start)`` up to ``_first_rung`` of
+    the ``predicted`` order (n_max without adapt), then each later rung and each node
+    doubling takes one.  ``accelerated`` is copied to its ConvergenceReport.
     """
     rel_tol = t.rel_tol
     # The node doubling at the end needs room for one step; without it
@@ -340,12 +320,15 @@ def _refine(eval_at, t, q, n_start=_N_START, accelerated=False):
         raise NoConvergenceError(
             f"truncation cap n_max = {t.n_max} leaves no step above the starting order {max(n_start, _N_START)}"
         )
-    n = rungs[0]
-    e_tm, e_te, _ = eval_at(n, q.node_count)
+    first = rungs.index(_first_rung(predicted, rungs))
+    energies, _ = eval_at(rungs[: first + 1], q.node_count)  # (e_tm, e_te) per rung
+    n, (e_tm, e_te) = rungs[0], energies[0]
     trunc_delta = math.inf
-    for n_next in rungs[1:]:
+    for i, n_next in enumerate(rungs[1:], 1):
+        if i > first:
+            energies += eval_at([n_next], q.node_count)[0]
         fraction = (n_next - n) / (_next_order(n) - n)
-        e_tm2, e_te2, _ = eval_at(n_next, q.node_count)
+        e_tm2, e_te2 = energies[i]
         trunc_delta = _rel_delta(e_tm2 + e_te2, e_tm + e_te)
         n, e_tm, e_te = n_next, e_tm2, e_te2
         if trunc_delta <= rel_tol * fraction:
@@ -359,7 +342,7 @@ def _refine(eval_at, t, q, n_start=_N_START, accelerated=False):
     # Grow the node count at the final order.
     nodes = q.node_count
     while True:
-        e_tm2, e_te2, m_used = eval_at(n, 2 * nodes)
+        [(e_tm2, e_te2)], m_used = eval_at([n], 2 * nodes)
         quad_delta = _rel_delta(e_tm2 + e_te2, e_tm + e_te)
         nodes *= 2
         e_tm, e_te = e_tm2, e_te2
@@ -405,11 +388,12 @@ def energy_exact(g, t=None, q=None):
     validate(g)
     t = t or TruncationSpec()
     q = q or QuadratureSpec()
+    predicted = _predicted_order(g, t)
     if isinstance(g, Concentric):
         evaluate = _concentric_integrand(g, accelerated=False)
     else:
-        evaluate = _matrix_integrand(g, t)
-    return _refine(_eval_factory(g, t, q, evaluate), t, q)
+        evaluate = _matrix_integrand(g, t, predicted)
+    return _refine(_eval_factory(g, q, evaluate), t, q, predicted)
 
 
 def energy_concentric_accelerated(g, t=None, q=None):
@@ -431,8 +415,8 @@ def energy_concentric_accelerated(g, t=None, q=None):
     # convergence against the tilde-dominated total.
     n_start = math.ceil(1.5 / (g.alpha - 1.0))
     evaluate = _concentric_integrand(g, accelerated=True)
-    eval_at = _eval_factory(g, t, q, evaluate, n_start, offset=0.5 * tilde_energy(g.alpha))
-    return _refine(eval_at, t, q, n_start=n_start, accelerated=True)
+    eval_at = _eval_factory(g, q, evaluate, offset=0.5 * tilde_energy(g.alpha))
+    return _refine(eval_at, t, q, _predicted_order(g, t), n_start, accelerated=True)
 
 
 def tm_te_split(result):

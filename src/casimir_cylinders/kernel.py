@@ -62,14 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bessel import (  # noqa: F401 -- perfbench/tracer.py looks up the derivative ladders here
-    log_di_ladder,
-    log_diag_blocks,
-    log_diag_pair,
-    log_dk_ladder,
-    log_i_ladder,
-    log_k_ladder,
-)
+from .bessel import log_diag_blocks, log_diag_pair, log_i_ladder, log_k_ladder
 from .geometry import (
     Concentric,
     CylinderPlane,

@@ -73,16 +73,28 @@ def test_bessel_k_domain_error():
     (bessel.log_diag_pair, ([1.0], 3.5), "n_max = 3.5 must be a whole number"),
     (bessel.bessel_i, (math.nan, 1.0), "n_max = nan must be a whole number"),
     (bessel.bessel_i, (math.inf, 1.0), r"order \|n\| <= 512 supported"),
+    # the derivative ladders read one order more, but name the order as given
+    (bessel.bessel_i_prime, (2.5, 1.0), "order n_max = 2.5 must be a whole number"),
+    (bessel.bessel_k_prime, (2.5, 1.0), "order n_max = 2.5 must be a whole number"),
+    (bessel.log_di_ladder, (1.0, 2.5), "order n_max = 2.5 must be a whole number"),
 ])
 def test_arguments_outside_the_domain_are_named(fn, args, message):
     with pytest.raises(ValueError, match=message):
         fn(*args)
 
 
-@pytest.mark.parametrize("ladder", [bessel.log_i_ladder, bessel.log_k_ladder, bessel.log_diag_pair])
+@pytest.mark.parametrize("ladder", [
+    bessel.log_i_ladder, bessel.log_k_ladder, bessel.log_diag_pair, bessel.log_di_ladder, bessel.log_dk_ladder,
+])
 def test_ladders_reject_negative_order(ladder):
     with pytest.raises(ValueError, match="n_max must be nonnegative"):
         ladder(1.0, -1)
+
+
+def test_derivatives_take_a_whole_float_order():
+    # a whole float order reads the same row as the int
+    assert bessel.bessel_i_prime(2.0, 1.0) == bessel.bessel_i_prime(2, 1.0)
+    assert bessel.bessel_k_prime(-3.0, 1.5) == bessel.bessel_k_prime(3, 1.5)
 
 
 def test_bessel_k_strictly_decreasing_in_x():

@@ -281,25 +281,34 @@ def test_sweep_timing_fills_only_wall_ms(capsys):
     assert "".join(",".join(row) + "\n" for row in cells) == outputs["csv", False]
 
 
-# The sweeps of tests/data/sweep_golden.csv, one after another; CI compares the
-# installed console script's output with --workers 2 against the same file.
-GOLDEN_SWEEPS = (
-    ("--family", "concentric", "--alpha", "1.05,1.3,2", "--evaluators", "exact,accelerated,nntl"),
-    ("--family", "cylplane", "--h-over-a", "1.5,2.5"),
-    ("--family", "eccentric", "--alpha", "2", "--delta", "0.25,0.5"),
-)
+# The sweeps of each golden file in tests/data, one after another; CI compares
+# the installed console script's output with --workers 2 against the same files.
+GOLDEN_SWEEPS = {
+    "sweep_golden.csv": (
+        ("--family", "concentric", "--alpha", "1.05,1.3,2", "--evaluators", "exact,accelerated,nntl"),
+        ("--family", "cylplane", "--h-over-a", "1.5,2.5"),
+        ("--family", "eccentric", "--alpha", "2", "--delta", "0.25,0.5"),
+    ),
+    # the adaptive-panel rule integrates each truncation order panel by panel
+    "sweep_golden_adaptive.csv": tuple(argv + ("--rule", "adaptive-panel") for argv in (
+        ("--family", "concentric", "--alpha", "1.05,1.3,2", "--evaluators", "exact,accelerated"),
+        ("--family", "eccentric", "--alpha", "2", "--delta", "0.25,0.5"),
+        ("--family", "cylplane", "--h-over-a", "1.5,2.5"),
+    )),
+}
 
 
 def test_sweep_output_matches_the_golden_file(capsys):
     # faster code must print the same bytes
-    outputs = []
-    for argv in GOLDEN_SWEEPS:
-        code, out, err = run(capsys, "sweep", *argv)
-        assert code == 0, err
-        outputs.append(out)
-    path = os.path.join(os.path.dirname(__file__), "data", "sweep_golden.csv")
-    with open(path, newline="") as fh:
-        assert "".join(outputs) == fh.read()
+    for golden, sweeps in GOLDEN_SWEEPS.items():
+        outputs = []
+        for argv in sweeps:
+            code, out, err = run(capsys, "sweep", *argv)
+            assert code == 0, err
+            outputs.append(out)
+        path = os.path.join(os.path.dirname(__file__), "data", golden)
+        with open(path, newline="") as fh:
+            assert "".join(outputs) == fh.read(), golden
 
 
 def test_sweep_worker_determinism(tmp_path, capsys):

@@ -255,28 +255,29 @@ def test_concentric_work_is_pinned():
 @pytest.mark.parametrize("adapt", [True, False])
 @pytest.mark.parametrize("accelerated", [False, True])
 def test_cached_orders_match_fresh_evaluations(accelerated, adapt, monkeypatch):
+    # every rung that one evaluation answers matches an evaluation at
+    # exactly that order, and the first evaluation serves several rungs
     g, q = Concentric(1.1), QuadratureSpec()
     t = TruncationSpec(n_max=120, adapt=adapt)
     calls = []
     ratios = kernel.concentric_log_ratios
     monkeypatch.setattr(kernel, "concentric_log_ratios", lambda *a: calls.append(a) or ratios(*a))
-    cached = _eval_factory(g, t, q, _concentric_integrand(g, accelerated))
-    evaluations = []  # integrand evaluations per refinement step
+    shared = _eval_factory(g, q, _concentric_integrand(g, accelerated))
+    asked = []  # the orders of every refinement step
 
-    def eval_at(n_top, node_count):
+    def eval_at(orders, node_count):
         before = len(calls)
-        got = cached(n_top, node_count)
-        evaluations.append(len(calls) - before)
-        # a fresh integrand capped at n_top evaluates at exactly that order
-        fresh_t = replace(t, n_max=n_top)
-        fresh = _eval_factory(g, fresh_t, q, _concentric_integrand(g, accelerated))(n_top, node_count)
-        assert got[:2] == pytest.approx(fresh[:2], rel=1e-12, abs=0.0)
-        return got
+        energies, m_used = shared(orders, node_count)
+        assert len(calls) == before + 1  # one evaluation per step
+        asked.append(orders)
+        for n, got in zip(orders, energies):
+            fresh = shared([n], node_count)[0][0]
+            assert got == pytest.approx(fresh, rel=1e-12, abs=0.0)
+        return energies, m_used
 
-    _refine(eval_at, t, q)
-    assert len(evaluations) >= 3
-    if adapt:  # the first evaluation serves several refinement steps
-        assert sum(evaluations) < len(evaluations)
+    _refine(eval_at, t, q, engine._predicted_order(g, t))
+    assert len(asked) >= 2
+    assert len(asked[0]) >= 2  # the first evaluation serves several rungs
 
 
 def test_concentric_call_sequence_is_pinned(monkeypatch):
@@ -324,22 +325,42 @@ def test_concentric_evaluation_working_set(accelerated):
 
 
 def test_eval_factory_lets_go_of_the_last_evaluation():
-    # new frequencies evaluate again; the sums of the first evaluation are
-    # dropped before the second is formed, so the two are never held at once
-    g = Concentric(1.02)
+    # the quadrature step keeps nothing between calls: once eval_at returns,
+    # no evaluation's sums are still referenced, under either rule
+    g = Concentric(1.3)
     evaluate = _concentric_integrand(g, accelerated=False)
     held = []  # a weak reference to the sums of every evaluation
 
     def traced(betas, orders):
-        assert all(ref() is None for ref in held)
         sums, m_used = evaluate(betas, orders)
         held.append(weakref.ref(sums.base))
         return sums, m_used
 
-    eval_at = _eval_factory(g, TruncationSpec(), QuadratureSpec(), traced)
-    eval_at(512, 256)
-    eval_at(512, 512)
-    assert len(held) == 2 and held[1]() is not None
+    for rule in QuadratureRule:
+        eval_at = _eval_factory(g, QuadratureSpec(rule=rule), traced)
+        for orders, nodes in (([24, 36], 256), ([36], 512)):
+            held.clear()
+            energies, _ = eval_at(orders, nodes)
+            assert len(energies) == len(orders) and held
+            assert all(ref() is None for ref in held)
+
+
+@pytest.mark.parametrize("g", [Concentric(1.3), Eccentric(2.0, 0.5)], ids=["concentric", "eccentric"])
+def test_adaptive_panels_evaluate_one_order_at_a_time(g, monkeypatch):
+    # each adaptive integration is of one order, and every panel of it
+    # evaluates exactly that order
+    asked = []  # the orders of every evaluate call
+
+    def traced(make):
+        def integrand(*args, **kwargs):
+            evaluate = make(*args, **kwargs)
+            return lambda betas, orders: asked.append(list(orders)) or evaluate(betas, orders)
+        return integrand
+
+    for name in ("_concentric_integrand", "_matrix_integrand"):
+        monkeypatch.setattr(engine, name, traced(getattr(engine, name)))
+    energy_exact(g, q=QuadratureSpec(rule=QuadratureRule.ADAPTIVE_PANEL))
+    assert asked and all(len(orders) == 1 for orders in asked)
 
 
 def _bits(a):
@@ -572,29 +593,32 @@ def test_one_assembly_serves_the_truncation_ladder(monkeypatch):
 @pytest.mark.parametrize("adapt", [True, False])
 @pytest.mark.parametrize("g", [Eccentric(2.0, 0.6), CylinderPlane(1.2)], ids=["eccentric", "cylplane"])
 def test_matrix_minors_match_fresh_evaluations(g, adapt, monkeypatch):
-    # every order _refine asks for, read off the leading minors of a larger
-    # assembly, agrees with an assembly at exactly that order; the Gram
-    # cutoffs were chosen for the larger order, so only to rel_tol / 100
+    # every rung that one evaluation answers, read off the leading minors of
+    # a larger assembly, agrees with an assembly at exactly that order; the
+    # Gram cutoffs were chosen for the larger order, so only to rel_tol / 100
     q = QuadratureSpec()
     t = TruncationSpec(adapt=adapt) if adapt else TruncationSpec(n_max=40, adapt=False)
+    predicted = engine._predicted_order(g, t)
     calls = []
     log_dets = kernel.matrix_log_dets
     monkeypatch.setattr(kernel, "matrix_log_dets", lambda *a: calls.append(a) or log_dets(*a))
-    cached = _eval_factory(g, t, q, _matrix_integrand(g, t))
-    evaluations = []  # assemblies per refinement step
+    shared = _eval_factory(g, q, _matrix_integrand(g, t, predicted))
+    asked = []  # the orders of every refinement step
 
-    def eval_at(n_top, node_count):
+    def eval_at(orders, node_count):
         before = len(calls)
-        got = cached(n_top, node_count)
-        evaluations.append(len(calls) - before)
-        fresh_t = replace(t, n_max=n_top, adapt=False)  # assembles at exactly n_top
-        fresh = _eval_factory(g, fresh_t, q, _matrix_integrand(g, fresh_t))(n_top, node_count)
-        assert sum(got[:2]) == pytest.approx(sum(fresh[:2]), rel=t.rel_tol / 100, abs=0.0)
-        return got
+        energies, m_used = shared(orders, node_count)
+        assert len(calls) == before + 1  # one assembly per step
+        asked.append(orders)
+        for n, got in zip(orders, energies):
+            fresh_t = replace(t, n_max=n, adapt=False)  # assembles at exactly n
+            fresh = _eval_factory(g, q, _matrix_integrand(g, fresh_t, predicted))([n], node_count)[0][0]
+            assert sum(got) == pytest.approx(sum(fresh), rel=t.rel_tol / 100, abs=0.0)
+        return energies, m_used
 
-    _refine(eval_at, t, q)
-    assert len(evaluations) >= 3
-    assert sum(evaluations) < len(evaluations)  # one assembly serves several steps
+    _refine(eval_at, t, q, predicted)
+    assert len(asked) >= 2
+    assert len(asked[0]) >= 2  # one assembly serves several rungs
 
 
 def test_hopeless_matrix_shape_fails_before_any_assembly(monkeypatch):
@@ -657,7 +681,7 @@ def test_fixed_n_max_1_is_not_certified():
     (100, [16, 24, 36, 54, 81, 100], 100),
     (1000, [16, 24, 36, 54, 81, 100], 100),
     (3, [16, 24, 36, 54, 81, 100], 24),  # never the starting rung
-    (5, [512], 512),  # a one-rung ladder has only the cap
+    (60, [16, 24, 36, 54, 81, 100], 54),  # between two rungs, the nearer in log
     (1, [16, 20], 20),  # the cap as the only candidate
     (7, [20, 40], 40),  # fixed truncation evaluates n_max first
 ])

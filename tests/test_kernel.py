@@ -52,8 +52,6 @@ def test_builders_check_type_then_shape_then_beta(build, valid, invalid, message
 TRACED_KERNEL_NAMES = (
     "log_i_ladder",
     "log_k_ladder",
-    "log_di_ladder",
-    "log_dk_ladder",
     "concentric_log_ratios",
 )
 
